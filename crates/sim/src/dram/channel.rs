@@ -61,12 +61,14 @@ pub struct Channel {
     next_rd_cmd: DramCycle,
     /// Earliest cycle the next WRITE column command may issue.
     next_wr_cmd: DramCycle,
-    /// Cycle-mode fast path: a tick that did nothing computes
-    /// [`Channel::next_event`] (never late) and the controller skips
-    /// the FR-FCFS scans until that bound. Cleared on every enqueue
-    /// (external state change). Pure wall-clock optimization — skipped
-    /// ticks are exactly the ticks that would have done nothing.
-    quiet_until: DramCycle,
+    /// Cached [`Channel::next_event`] bound, shared by both step modes:
+    /// `None` = stale, `Some(DramCycle::MAX)` = no event. While cached
+    /// it equals a fresh computation (checked in debug builds). Every
+    /// enqueue and every tick that did something clears it; a pure
+    /// clock advance (a tick before the bound, or [`Channel::skip`])
+    /// keeps it. Cycle mode's `tick` returns early before the bound
+    /// instead of rescanning the queues; the Skip planner reads it.
+    bound: Option<DramCycle>,
     pub stats: ChannelStats,
 }
 
@@ -94,7 +96,7 @@ impl Channel {
             mode: Mode::Read,
             next_rd_cmd: 0,
             next_wr_cmd: 0,
-            quiet_until: 0,
+            bound: None,
             stats: ChannelStats::default(),
         }
     }
@@ -121,13 +123,13 @@ impl Channel {
                 line_addr,
                 slice,
             });
-            self.quiet_until = 0;
+            self.bound = None;
             return true;
         }
         if !self.can_accept_read() {
             return false;
         }
-        self.quiet_until = 0;
+        self.bound = None;
         let flat_bank = coord.flat_bank(&self.cfg);
         self.read_q.push_back(DramQueued {
             line_addr,
@@ -146,7 +148,7 @@ impl Channel {
         if !self.can_accept_write() {
             return false;
         }
-        self.quiet_until = 0;
+        self.bound = None;
         let flat_bank = coord.flat_bank(&self.cfg);
         self.write_q.push_back(DramQueued {
             line_addr,
@@ -164,47 +166,30 @@ impl Channel {
     /// into `out`.
     pub fn tick(&mut self, out: &mut Vec<ReadReturn>) {
         self.now += 1;
-        if self.now < self.quiet_until {
-            // A previous do-nothing tick proved (via the `next_event`
-            // bound, which is never late) that no command, refresh,
-            // mode flip or return can happen before `quiet_until`;
-            // enqueues in between cleared the gate.
-            return;
+        if let Some(bound) = self.bound {
+            if self.now < bound {
+                // The cached bound (never late) proves this tick can
+                // issue no command, refresh, mode flip or return.
+                debug_assert_eq!(bound, self.fresh_bound(), "stale DRAM channel bound");
+                return;
+            }
         }
-        let before = (
-            self.stats.reads,
-            self.stats.writes,
-            self.stats.activates,
-            self.stats.precharges,
-            self.stats.refreshes,
-            self.returns.len(),
-            self.mode,
-        );
-        self.drain_returns(out);
+        let drained = self.drain_returns(out);
         let acted = if self.cfg.refresh && self.try_refresh() {
             true // refresh consumed the command slot
         } else {
-            self.update_mode();
-            match self.mode {
-                Mode::Read => self.try_issue(true),
-                // Opportunistic write issue would complicate turnaround
-                // accounting; idle cycles are left idle as real
-                // read-priority controllers mostly do outside drains.
-                Mode::WriteDrain => self.try_issue(false),
-            }
+            let flipped = self.update_mode();
+            // Opportunistic write issue would complicate turnaround
+            // accounting; idle cycles are left idle as real
+            // read-priority controllers mostly do outside drains.
+            let issued = self.try_issue(self.mode == Mode::Read);
+            flipped || issued
         };
-        let after = (
-            self.stats.reads,
-            self.stats.writes,
-            self.stats.activates,
-            self.stats.precharges,
-            self.stats.refreshes,
-            self.returns.len(),
-            self.mode,
-        );
-        if !acted && before == after {
-            self.quiet_until = self.next_event().unwrap_or(DramCycle::MAX);
-        }
+        self.bound = if drained || acted {
+            None
+        } else {
+            Some(self.fresh_bound())
+        };
     }
 
     /// Current DRAM cycle.
@@ -269,13 +254,31 @@ impl Channel {
     /// queued request. `None` means the channel is fully drained.
     /// Bounds may be early (the tick then does nothing and a new bound
     /// is computed) but never late.
-    pub fn next_event(&self) -> Option<DramCycle> {
-        let lb = self.now + 1;
-        let mut ev: Option<DramCycle> = None;
-        let mut merge = |at: DramCycle| {
-            let at = at.max(lb);
-            ev = Some(ev.map_or(at, |e: DramCycle| e.min(at)));
+    ///
+    /// Served from the cache when nothing changed since the last
+    /// computation (see the `bound` field); recomputed otherwise.
+    pub fn next_event(&mut self) -> Option<DramCycle> {
+        let bound = match self.bound {
+            Some(bound) => {
+                debug_assert_eq!(bound, self.fresh_bound(), "stale DRAM channel bound");
+                bound
+            }
+            None => {
+                let bound = self.fresh_bound();
+                self.bound = Some(bound);
+                bound
+            }
         };
+        (bound != DramCycle::MAX).then_some(bound)
+    }
+
+    /// [`Channel::next_event`] computed from scratch, bypassing the
+    /// cache (`DramCycle::MAX` = no event). Cost: one pass over the
+    /// active queue.
+    pub fn fresh_bound(&self) -> DramCycle {
+        let lb = self.now + 1;
+        let mut ev = DramCycle::MAX;
+        let mut merge = |at: DramCycle| ev = ev.min(at.max(lb));
         if let Some(r) = self.returns.front() {
             merge(r.ready_at);
         }
@@ -298,43 +301,42 @@ impl Channel {
     }
 
     /// Fast-forwards `ticks` DRAM cycles during which (per
-    /// [`Channel::next_event`]) every tick is a pure clock advance.
+    /// [`Channel::next_event`]) every tick is a pure clock advance. The
+    /// cached bound stays valid.
     pub fn skip(&mut self, ticks: DramCycle) {
         debug_assert!(
-            self.next_event().is_none_or(|e| e > self.now + ticks),
+            self.fresh_bound() > self.now + ticks,
             "channel skip window crosses an event"
         );
         self.now += ticks;
     }
 
-    fn drain_returns(&mut self, out: &mut Vec<ReadReturn>) {
+    /// Hands every due return to `out`; returns whether any was due.
+    fn drain_returns(&mut self, out: &mut Vec<ReadReturn>) -> bool {
+        let mut drained = false;
         while let Some(front) = self.returns.front() {
             if front.ready_at <= self.now {
                 out.push(*front);
                 self.returns.pop_front();
+                drained = true;
             } else {
                 break;
             }
         }
+        drained
     }
 
-    fn update_mode(&mut self) {
-        match self.mode {
-            Mode::Read => {
-                if self.write_q.len() >= self.cfg.write_high_watermark
-                    || (self.read_q.is_empty() && !self.write_q.is_empty())
-                {
-                    self.mode = Mode::WriteDrain;
-                }
-            }
-            Mode::WriteDrain => {
-                if self.write_q.len() <= self.cfg.write_low_watermark
-                    && (!self.read_q.is_empty() || self.write_q.is_empty())
-                {
-                    self.mode = Mode::Read;
-                }
-            }
+    /// Switches the scheduling mode when the watermarks say so; returns
+    /// whether it switched.
+    fn update_mode(&mut self) -> bool {
+        if !self.would_flip_mode() {
+            return false;
         }
+        self.mode = match self.mode {
+            Mode::Read => Mode::WriteDrain,
+            Mode::WriteDrain => Mode::Read,
+        };
+        true
     }
 
     /// Refresh handling: when a rank is due and all of its banks can

@@ -84,14 +84,19 @@ impl DramSystem {
     /// Event bound for the fast-forward engine, in DRAM cycles: the
     /// earliest [`Channel::next_event`] over all channels (they share
     /// one command clock). `None` when every channel is drained and
-    /// refresh-free.
-    pub fn next_event(&self) -> Option<DramCycle> {
-        self.channels.iter().filter_map(|c| c.next_event()).min()
+    /// refresh-free. Each channel serves its cached bound, so only the
+    /// channels that changed since their last computation rescan their
+    /// queues.
+    pub fn next_event(&mut self) -> Option<DramCycle> {
+        self.channels
+            .iter_mut()
+            .filter_map(Channel::next_event)
+            .min()
     }
 
     /// Fast-forwards all channels `ticks` pure-clock-advance DRAM
     /// cycles (validated against [`DramSystem::next_event`] by the
-    /// caller).
+    /// caller). Every channel's cached bound stays valid.
     pub fn skip(&mut self, ticks: DramCycle) {
         if ticks == 0 {
             return;

@@ -190,6 +190,10 @@ pub struct KvTier {
     warm: BTreeMap<Addr, u64>,
     /// In-flight promotions by block base.
     inflight: BTreeMap<Addr, Promotion>,
+    /// Earliest `done_at` in `inflight` (`Cycle::MAX` when empty), kept
+    /// current by `start_promotion` and `advance`, the only mutations
+    /// of `inflight`; makes [`KvTier::next_event`] O(1).
+    next_done: Cycle,
     /// The serialized slow-tier link is busy until this cycle.
     link_free_at: Cycle,
     /// Waiters whose promotion completed, draining into DRAM in FIFO
@@ -216,6 +220,7 @@ impl KvTier {
             seq: 0,
             warm: BTreeMap::new(),
             inflight: BTreeMap::new(),
+            next_done: Cycle::MAX,
             link_free_at: 0,
             ready: VecDeque::with_capacity(64),
             busy: Vec::new(),
@@ -351,6 +356,7 @@ impl KvTier {
             },
         );
         debug_assert!(prev.is_none(), "block was already in flight");
+        self.next_done = self.next_done.min(done_at);
         self.total.lookups += 1;
         self.total.misses += 1;
         let r = self.rstat(request);
@@ -366,8 +372,8 @@ impl KvTier {
     /// block-address order — deterministic and identical in both step
     /// modes, which execute this at the same cycles.
     pub fn advance(&mut self, now: Cycle) {
-        if self.inflight.is_empty() {
-            return;
+        if self.next_done > now {
+            return; // nothing due (or nothing in flight)
         }
         self.due_scratch.clear();
         self.due_scratch.extend(
@@ -383,6 +389,16 @@ impl KvTier {
             self.install_warm(block, p.initiator);
             self.ready.extend(p.waiters);
         }
+        self.next_done = self.fresh_next_done();
+    }
+
+    /// The earliest in-flight completion, scanned from scratch.
+    fn fresh_next_done(&self) -> Cycle {
+        self.inflight
+            .values()
+            .map(|p| p.done_at)
+            .min()
+            .unwrap_or(Cycle::MAX)
     }
 
     fn install_warm(&mut self, block: Addr, initiator: u32) {
@@ -443,7 +459,8 @@ impl KvTier {
         if !self.ready.is_empty() {
             return Some(now);
         }
-        self.inflight.values().map(|p| p.done_at.max(now)).min()
+        debug_assert_eq!(self.next_done, self.fresh_next_done(), "stale KV bound");
+        (self.next_done != Cycle::MAX).then(|| self.next_done.max(now))
     }
 }
 

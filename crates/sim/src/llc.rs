@@ -110,6 +110,15 @@ pub struct LlcSlice<A: RequestArbiter = Box<dyn RequestArbiter>> {
     stall_sticky: bool,
     /// Data array busy serving a hit readout until this cycle.
     data_port_free_at: Cycle,
+    /// Memoized probes of the pipeline heads, shared by `tick`,
+    /// `next_event` and `skip` (`None` = not probed in this state):
+    /// whether the tag-pipe head's line is in storage, and what MSHR
+    /// registration would return for the MSHR-pipe head. Cleared where
+    /// their inputs change: popping a pipe head, inserting into storage
+    /// (`pop_response`), and registering or completing an MSHR entry.
+    /// Pushing onto a pipe needs no clear (an empty pipe has no memo).
+    tag_head_hits: Option<bool>,
+    mshr_head_outcome: Option<MshrOutcome>,
     pub stats: SliceStats,
     /// Per-serving-request attribution, indexed by request id (grown on
     /// demand; solo traces only ever touch index 0). Every increment
@@ -153,6 +162,8 @@ impl<A: RequestArbiter> LlcSlice<A> {
             stall: StallKind::None,
             stall_sticky: false,
             data_port_free_at: 0,
+            tag_head_hits: None,
+            mshr_head_outcome: None,
             stats: SliceStats::default(),
             request_stats: Vec::new(),
             kv_busy: Vec::new(),
@@ -259,6 +270,10 @@ impl<A: RequestArbiter> LlcSlice<A> {
         }
         self.pending_fills.pop_front();
         self.stall_sticky = false;
+        // The MSHR file changes, and the replay below may reorder the
+        // MSHR pipe and feed the tag pipe.
+        self.mshr_head_outcome = None;
+        self.tag_head_hits = None;
         let mut dirty = false;
         for t in self.mshr.complete(line_addr).unwrap_or(&[]) {
             if t.is_write {
@@ -337,7 +352,14 @@ impl<A: RequestArbiter> LlcSlice<A> {
             core: req.core,
             is_write: req.is_write,
         };
-        match self.mshr.register(req.line_addr, target) {
+        let outcome = self.mshr.register(req.line_addr, target);
+        // A failed registration leaves file and head as they were: its
+        // outcome is what a probe would say. Success pops the head.
+        self.mshr_head_outcome = match outcome {
+            MshrOutcome::FullEntries | MshrOutcome::FullTargets => Some(outcome),
+            MshrOutcome::Merged | MshrOutcome::Allocated => None,
+        };
+        match outcome {
             MshrOutcome::Merged => {
                 self.mshr_pipe.pop_front();
                 pool.release(head.h);
@@ -391,7 +413,8 @@ impl<A: RequestArbiter> LlcSlice<A> {
         // Probe so misses are not blocked by port availability — but
         // only when the port is actually busy (the port-free common
         // case skips the tag scan entirely; `access` below decides).
-        if now < self.data_port_free_at && !req.is_write && self.storage.probe(req.line_addr) {
+        if now < self.data_port_free_at && !req.is_write && self.tag_head_in_storage(req.line_addr)
+        {
             // The cache cannot accept this hit: a stall in the paper's
             // sense (t_cs counts every cycle the cache pipeline is
             // blocked, whatever the blocked resource is).
@@ -401,6 +424,7 @@ impl<A: RequestArbiter> LlcSlice<A> {
             return;
         }
         self.tag_pipe.pop_front();
+        self.tag_head_hits = None;
         let hit = self.storage.access(req.line_addr, req.is_write);
         if hit {
             pool.release(head.h);
@@ -476,6 +500,7 @@ impl<A: RequestArbiter> LlcSlice<A> {
             return false;
         };
         self.stats.fills += 1;
+        self.tag_head_hits = None;
         if let Some(victim) = self
             .storage
             .insert(entry.line_addr, entry.dirty, InsertPolicy::Mru)
@@ -541,28 +566,51 @@ impl<A: RequestArbiter> LlcSlice<A> {
     /// registration — the stall regime, where every tick accrues stall
     /// counters without changing state (only a fill can clear it, and
     /// fills are never skipped over).
-    fn head_stalled(&self, now: Cycle, pool: &ReqPool) -> Option<MshrOutcome> {
+    fn head_stalled(&mut self, now: Cycle, pool: &ReqPool) -> Option<MshrOutcome> {
         let head = self.mshr_pipe.front()?;
         if head.ready_at > now {
             return None;
         }
-        match self.mshr.probe(pool.get(head.h).line_addr) {
-            o @ (MshrOutcome::FullEntries | MshrOutcome::FullTargets) => Some(o),
-            _ => None,
-        }
+        let outcome = self.mshr_head_probe(pool.get(head.h).line_addr);
+        matches!(outcome, MshrOutcome::FullEntries | MshrOutcome::FullTargets).then_some(outcome)
     }
 
     /// Whether the tag-pipeline head is ready, would hit, and is blocked
     /// on the busy data port — the other per-cycle stall regime, which
     /// resolves by itself when the port frees.
-    fn head_port_blocked(&self, now: Cycle, pool: &ReqPool) -> bool {
-        self.tag_pipe.front().is_some_and(|head| {
-            let req = pool.get(head.h);
-            head.ready_at <= now
-                && !req.is_write
-                && now < self.data_port_free_at
-                && self.storage.probe(req.line_addr)
-        })
+    fn head_port_blocked(&mut self, now: Cycle, pool: &ReqPool) -> bool {
+        let Some(head) = self.tag_pipe.front() else {
+            return false;
+        };
+        if head.ready_at > now || now >= self.data_port_free_at {
+            return false;
+        }
+        let req = pool.get(head.h);
+        !req.is_write && self.tag_head_in_storage(req.line_addr)
+    }
+
+    /// Whether the tag-pipe head's line (`line`) is in storage,
+    /// memoized in `tag_head_hits`.
+    fn tag_head_in_storage(&mut self, line: Addr) -> bool {
+        match self.tag_head_hits {
+            Some(hit) => {
+                debug_assert_eq!(hit, self.storage.probe(line), "stale tag head probe");
+                hit
+            }
+            None => *self.tag_head_hits.insert(self.storage.probe(line)),
+        }
+    }
+
+    /// What MSHR registration would return for the MSHR-pipe head's line
+    /// (`line`), memoized in `mshr_head_outcome`.
+    fn mshr_head_probe(&mut self, line: Addr) -> MshrOutcome {
+        match self.mshr_head_outcome {
+            Some(outcome) => {
+                debug_assert_eq!(outcome, self.mshr.probe(line), "stale MSHR head probe");
+                outcome
+            }
+            None => *self.mshr_head_outcome.insert(self.mshr.probe(line)),
+        }
     }
 
     /// Event bound for the fast-forward engine (see `DESIGN.md`, "The
@@ -574,7 +622,7 @@ impl<A: RequestArbiter> LlcSlice<A> {
     /// blocked pipeline head, ingress rejects, and arbiter aging.
     /// `None` means only external events (NoC deliveries, DRAM fills —
     /// both of which the system never skips over) can change the slice.
-    pub fn next_event(&self, now: Cycle, pool: &ReqPool) -> Option<Cycle> {
+    pub fn next_event(&mut self, now: Cycle, pool: &ReqPool) -> Option<Cycle> {
         debug_assert!(self.outbound.is_empty(), "system drains outbound per tick");
         // Anything in these queues is acted on (or retried) every cycle.
         if !self.pending_fills.is_empty()
@@ -588,7 +636,7 @@ impl<A: RequestArbiter> LlcSlice<A> {
         let mut merge = |at: Cycle| {
             ev = Some(ev.map_or(at, |e: Cycle| e.min(at)));
         };
-        if let Some(head) = self.tag_pipe.front() {
+        if let Some(&head) = self.tag_pipe.front() {
             if head.ready_at > now {
                 merge(head.ready_at);
             } else if self.head_port_blocked(now, pool) {
@@ -598,7 +646,7 @@ impl<A: RequestArbiter> LlcSlice<A> {
                 return Some(now); // head advances next tick
             }
         }
-        if let Some(head) = self.mshr_pipe.front() {
+        if let Some(&head) = self.mshr_pipe.front() {
             if head.ready_at > now {
                 merge(head.ready_at);
             } else if self.head_stalled(now, pool).is_some() {

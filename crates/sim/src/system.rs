@@ -557,6 +557,11 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
     /// drives its lockstep chunks through this entry point so stats
     /// assembly is paid once per cell, not once per chunk.
     pub fn advance_with_mode(&mut self, max_cycles: Cycle, mode: StepMode) -> RunOutcome {
+        if self.cycle >= max_cycles {
+            // A budget already spent: neither mode may run (or rewind)
+            // the clock.
+            return self.cycle_limit_outcome();
+        }
         if mode == StepMode::Skip {
             return self.skip_to(max_cycles);
         }
@@ -614,23 +619,26 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
     }
 
     /// A slice's wake cycle: the earlier of its own event bound and its
-    /// next NoC request arrival, clamped to the future.
+    /// next NoC request arrival, clamped to the future. A slice with
+    /// per-cycle work queued wakes at `now` without the NoC lookup.
     fn slice_wake_of(
-        slice: &LlcSlice<A>,
+        slice: &mut LlcSlice<A>,
         noc: &Noc,
         pool: &ReqPool,
         s: SliceId,
         now: Cycle,
     ) -> Cycle {
-        let own = slice
-            .next_event(now, pool)
-            .map_or(Cycle::MAX, |at| at.max(now));
-        let arrival = noc.next_req_arrival(s).map_or(Cycle::MAX, |at| at.max(now));
-        own.min(arrival)
+        let own = match slice.next_event(now, pool) {
+            Some(at) if at <= now => return now,
+            Some(at) => at,
+            None => Cycle::MAX,
+        };
+        own.min(noc.next_req_arrival(s).map_or(Cycle::MAX, |at| at.max(now)))
     }
 
     /// A core's wake cycle: the earlier of its own event bound and its
-    /// next NoC response arrival, clamped to the future.
+    /// next NoC response arrival, clamped to the future. A core with
+    /// per-cycle work wakes at `now` without the NoC lookup.
     fn core_wake_of(
         core: &VectorCore,
         sched: &TbScheduler,
@@ -638,19 +646,21 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
         c: usize,
         now: Cycle,
     ) -> Cycle {
-        let own = core
-            .next_event(now, sched)
-            .map_or(Cycle::MAX, |at| at.max(now));
-        let arrival = noc
-            .next_resp_arrival(c)
-            .map_or(Cycle::MAX, |at| at.max(now));
-        own.min(arrival)
+        let own = match core.next_event(now, sched) {
+            Some(at) if at <= now => return now,
+            Some(at) => at,
+            None => Cycle::MAX,
+        };
+        own.min(
+            noc.next_resp_arrival(c)
+                .map_or(Cycle::MAX, |at| at.max(now)),
+        )
     }
 
     /// Converts the DRAM subsystem's next event (in DRAM cycles) into
     /// the core cycle whose clock-domain crossing executes that DRAM
     /// tick.
-    fn dram_event_cycle(&self) -> Option<Cycle> {
+    fn dram_event_cycle(&mut self) -> Option<Cycle> {
         let event = self.dram.next_event()?;
         // `dram_time_ps == executed_dram_ticks * dram_period_ps` is an
         // invariant of both run modes. The m-th future DRAM tick runs
@@ -729,14 +739,7 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
                 // Budget exhausted before the next event: burn the
                 // remaining cycles in closed form, never past the
                 // budget.
-                for (i, core) in self.cores.iter_mut().enumerate() {
-                    let pending = max_cycles - synced_core[i].min(max_cycles);
-                    core.skip(synced_core[i], pending);
-                }
-                for (s, slice) in self.slices.iter_mut().enumerate() {
-                    let pending = max_cycles - synced_slice[s].min(max_cycles);
-                    slice.skip(synced_slice[s], pending, &self.pool);
-                }
+                self.sync_all(&mut synced_core, &mut synced_slice, max_cycles);
                 // Saturate: astronomically large budgets (e.g. u64::MAX)
                 // would overflow the picosecond clock; the DRAM domain
                 // simply stops advancing past the representable horizon.
@@ -777,8 +780,7 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
                 if wake_slice[s] > now {
                     continue;
                 }
-                let pending = now - synced_slice[s];
-                self.slices[s].skip(synced_slice[s], pending, &self.pool);
+                self.sync_slice(&mut synced_slice, s, now);
                 while let Some(h) = self.noc.pop_due_req(s, now) {
                     self.slices[s].deliver(h);
                 }
@@ -801,7 +803,7 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
                 }
                 synced_slice[s] = now + 1;
                 wake_slice[s] =
-                    Self::slice_wake_of(&self.slices[s], &self.noc, &self.pool, s, now + 1);
+                    Self::slice_wake_of(&mut self.slices[s], &self.noc, &self.pool, s, now + 1);
             }
 
             // Phase 2½: KV tier — complete due promotions and release
@@ -831,17 +833,15 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
                     self.dram_time_ps += self.dram_period_ps;
                     self.fill_scratch.clear();
                     self.fill_scratch.extend_from_slice(self.dram.tick());
-                    for f in &self.fill_scratch {
-                        let s = f.slice;
+                    for i in 0..self.fill_scratch.len() {
+                        let f = self.fill_scratch[i];
                         // Sync the slice *before* the delivery mutates
                         // it (its quiet accrual basis is the pre-fill
                         // state, exactly as in cycle mode where the
                         // slice ticked in phase 2).
-                        let pending = (now + 1) - synced_slice[s].min(now + 1);
-                        self.slices[s].skip(synced_slice[s], pending, &self.pool);
-                        synced_slice[s] = now + 1;
-                        self.slices[s].deliver_fill(f.line_addr);
-                        wake_slice[s] = now + 1;
+                        self.sync_slice(&mut synced_slice, f.slice, now + 1);
+                        self.slices[f.slice].deliver_fill(f.line_addr);
+                        wake_slice[f.slice] = now + 1;
                     }
                 }
                 wake_dram = self.dram_event_cycle().unwrap_or(NEVER);
@@ -852,8 +852,7 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
                 if wake_core[c] > now {
                     continue;
                 }
-                let pending = now - synced_core[c];
-                self.cores[c].skip(synced_core[c], pending);
+                self.sync_core(&mut synced_core, c, now);
                 while let Some(resp) = self.noc.pop_due_resp(c, now) {
                     self.cores[c].on_resp(resp, now);
                 }
@@ -878,16 +877,7 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
 
             // Phase 5: throttle, on its schedule or on a completion.
             if wake_throttle <= now {
-                for (i, core) in self.cores.iter_mut().enumerate() {
-                    let pending = (now + 1) - synced_core[i].min(now + 1);
-                    core.skip(synced_core[i], pending);
-                    synced_core[i] = now + 1;
-                }
-                for (s, slice) in self.slices.iter_mut().enumerate() {
-                    let pending = (now + 1) - synced_slice[s].min(now + 1);
-                    slice.skip(synced_slice[s], pending, &self.pool);
-                    synced_slice[s] = now + 1;
-                }
+                self.sync_all(&mut synced_core, &mut synced_slice, now + 1);
                 self.run_throttle(now);
                 wake_throttle = match self.throttle.next_event(now + 1) {
                     Some(at) => at.max(now + 1),
@@ -912,14 +902,7 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
                 // Materialize every deferred accrual up to the final
                 // cycle (cycle mode ticked all components through
                 // `now`, idle ones included).
-                for (i, core) in self.cores.iter_mut().enumerate() {
-                    let pending = (now + 1) - synced_core[i].min(now + 1);
-                    core.skip(synced_core[i], pending);
-                }
-                for (s, slice) in self.slices.iter_mut().enumerate() {
-                    let pending = (now + 1) - synced_slice[s].min(now + 1);
-                    slice.skip(synced_slice[s], pending, &self.pool);
-                }
+                self.sync_all(&mut synced_core, &mut synced_slice, now + 1);
                 self.dram_sync_quiet((now + 1) * self.core_period_ps);
                 break RunOutcome::Completed;
             }
@@ -928,6 +911,34 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
         // system further after a fast-forwarded run.
         self.core_time_ps = self.cycle.saturating_mul(self.core_period_ps);
         outcome
+    }
+
+    /// Materializes core `c`'s deferred closed-form accrual up to cycle
+    /// `to` (exclusive). A no-op when it is already synced that far.
+    fn sync_core(&mut self, synced: &mut [Cycle], c: usize, to: Cycle) {
+        if synced[c] < to {
+            self.cores[c].skip(synced[c], to - synced[c]);
+            synced[c] = to;
+        }
+    }
+
+    /// [`System::sync_core`] for LLC slice `s`.
+    fn sync_slice(&mut self, synced: &mut [Cycle], s: SliceId, to: Cycle) {
+        if synced[s] < to {
+            self.slices[s].skip(synced[s], to - synced[s], &self.pool);
+            synced[s] = to;
+        }
+    }
+
+    /// Syncs every core and slice up to cycle `to` (exclusive), so the
+    /// cumulative counters read what cycle mode would have by then.
+    fn sync_all(&mut self, synced_core: &mut [Cycle], synced_slice: &mut [Cycle], to: Cycle) {
+        for c in 0..self.cores.len() {
+            self.sync_core(synced_core, c, to);
+        }
+        for s in 0..self.slices.len() {
+            self.sync_slice(synced_slice, s, to);
+        }
     }
 
     /// Single-cycle step (public for fine-grained tests).

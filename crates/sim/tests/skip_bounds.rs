@@ -1,7 +1,7 @@
 //! Property tests for the event-bound contract behind `StepMode::Skip`
 //! (see `DESIGN.md`, "The event-bound contract").
 //!
-//! Three invariants, checked over randomly generated small programs and
+//! Four invariants, checked over randomly generated small programs and
 //! request streams (case count capped by `PROPTEST_CASES`, like the
 //! other property suites):
 //!
@@ -14,6 +14,8 @@
 //!    jumps over or reorders them.
 //! 3. **Whole-system equivalence.** Random programs, core counts and
 //!    periods produce byte-identical `SimStats` in both modes.
+//! 4. **Cached bounds are exact.** A DRAM channel's cached `next_event`
+//!    equals a fresh computation after every enqueue, tick and skip.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -217,6 +219,52 @@ proptest! {
         }
         if !refresh {
             prop_assert!(ch.is_idle(), "channel failed to drain");
+        }
+    }
+
+    // Invariant 4, the cached channel bound: after any sequence of
+    // enqueues, ticks and quiet skips, the bound `next_event` serves
+    // equals one computed from scratch. Checks run after a random subset
+    // of steps only, so the cache is also built and kept by `tick`
+    // alone (debug builds cross-check that path inside `tick`).
+    #[test]
+    fn channel_cached_bound_equals_fresh(
+        ops in proptest::collection::vec((0u8..4, 0u64..96, 0u64..48, any::<bool>()), 1..160),
+        refresh in any::<bool>(),
+    ) {
+        let mut cfg = DramConfig::table5();
+        cfg.refresh = refresh;
+        let mapping = AddressMapping::new(&cfg, MappingScheme::RoBaRaCoCh);
+        let mut ch = Channel::new(cfg, 0);
+        let mut out = Vec::new();
+        for &(op, sel, n, check) in &ops {
+            // Keep every address on channel 0.
+            let addr = sel * cfg.channels as u64 * LINE_BYTES;
+            match op {
+                0 => {
+                    ch.enqueue_read(addr, mapping.decode(addr), 0);
+                }
+                1 => {
+                    ch.enqueue_write(addr, mapping.decode(addr));
+                }
+                2 => {
+                    for _ in 0..=n {
+                        ch.tick(&mut out);
+                    }
+                }
+                _ => {
+                    // Skip up to `n` cycles, never onto the bound.
+                    let quiet = ch
+                        .next_event()
+                        .map_or(n, |event| (event - 1 - ch.now()).min(n));
+                    ch.skip(quiet);
+                }
+            }
+            if check {
+                let fresh = ch.fresh_bound();
+                let fresh = (fresh != u64::MAX).then_some(fresh);
+                prop_assert_eq!(ch.next_event(), fresh, "cached bound differs from a fresh one");
+            }
         }
     }
 

@@ -11,7 +11,10 @@
 //! per-cycle tick shows up here as a counter mismatch.
 
 use llamcat::experiment::{ArbPolicy, Experiment, Model, Policy, ThrottlePolicy};
-use llamcat_sim::system::StepMode;
+use llamcat_sim::arb::{FifoArbiter, NoThrottle, RequestArbiter};
+use llamcat_sim::config::SystemConfig;
+use llamcat_sim::prog::{Instr, Program, ThreadBlock};
+use llamcat_sim::system::{RunOutcome, StepMode, System};
 
 const ARBS: [ArbPolicy; 5] = [
     ArbPolicy::Fifo,
@@ -133,4 +136,59 @@ fn longer_run_is_mode_equivalent() {
         serde_json::to_string(skip.stats.as_ref().unwrap()).unwrap(),
         "dynmg+BMA @405b/256 diverged between step modes"
     );
+}
+
+/// Regression: a budget the machine has already reached leaves it where
+/// it is, in both modes. Skip mode used to rewind the clock to the
+/// budget (release builds) or overflow computing the skipped cycles
+/// (debug builds); Cycle mode always stayed put.
+#[test]
+fn spent_budget_is_a_no_op_in_both_modes() {
+    let cfg = SystemConfig::table5();
+    let blocks = (0..64u64)
+        .map(|b| ThreadBlock {
+            instrs: vec![
+                Instr::Load {
+                    addr: b * 4096,
+                    bytes: 128,
+                },
+                Instr::Barrier,
+            ],
+        })
+        .collect();
+    let program = Program::round_robin(blocks, cfg.num_cores);
+    let mut finals = Vec::new();
+    for mode in [StepMode::Cycle, StepMode::Skip] {
+        let mut system = System::new(
+            cfg,
+            program.clone(),
+            &|_| Box::new(FifoArbiter) as Box<dyn RequestArbiter>,
+            Box::new(NoThrottle),
+        );
+        let outcome = system.advance_with_mode(100, mode);
+        assert!(matches!(outcome, RunOutcome::CycleLimit { .. }), "{mode:?}");
+        assert_eq!(system.cycle(), 100, "{mode:?}");
+        let at_100 = serde_json::to_string(&system.collect_stats()).unwrap();
+        for budget in [50, 99, 100] {
+            let outcome = system.advance_with_mode(budget, mode);
+            assert!(
+                matches!(outcome, RunOutcome::CycleLimit { .. }),
+                "{mode:?}: budget {budget} reported {outcome:?}"
+            );
+            assert_eq!(
+                system.cycle(),
+                100,
+                "{mode:?}: budget {budget} moved the clock"
+            );
+            assert_eq!(
+                serde_json::to_string(&system.collect_stats()).unwrap(),
+                at_100,
+                "{mode:?}: budget {budget} changed the statistics"
+            );
+        }
+        let (stats, outcome) = system.run_with_mode(10_000_000, mode);
+        assert!(outcome.is_complete(), "{mode:?}");
+        finals.push(serde_json::to_string(&stats).unwrap());
+    }
+    assert_eq!(finals[0], finals[1], "modes diverged after a spent budget");
 }
