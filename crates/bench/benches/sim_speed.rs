@@ -18,7 +18,6 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use llamcat::experiment::{Experiment, Model, Policy};
 use llamcat::spec::MixSpec;
-use llamcat::spec::PolicySpec;
 use llamcat_sim::arb::{FifoArbiter, NoThrottle};
 use llamcat_sim::cache::{InsertPolicy, SetAssocCache};
 use llamcat_sim::config::{DramConfig, SystemConfig};
@@ -207,153 +206,6 @@ fn bench_step_mode(_c: &mut Criterion) {
     println!("  dynmg+BMA (cpr 1): cycle {t_cycle:.3}s skip {t_skip:.3}s");
 }
 
-/// One measured batched-vs-per-cell comparison row.
-struct BatchRow {
-    regime: &'static str,
-    mode: StepMode,
-    budget: Option<u64>,
-    per_cell_s: f64,
-    batch_s: f64,
-}
-
-impl BatchRow {
-    fn speedup(&self) -> f64 {
-        self.per_cell_s / self.batch_s
-    }
-}
-
-/// The 20-cell fig7 policy matrix (5 arbiters x 4 throttles) at
-/// `seq_len`, optionally budget-bounded (the triage regime: many cells
-/// probed shallowly, as a sweep-pruning campaign would).
-fn matrix_cells(seq_len: usize, mode: StepMode, budget: Option<u64>) -> Vec<Experiment> {
-    let mut cells = Vec::with_capacity(20);
-    for arb in ["fifo", "B", "MA", "BMA", "cobrra"] {
-        for thr in ["none", "dyncta", "lcs", "dynmg"] {
-            let spec = PolicySpec::from_name(&format!("{thr}+{arb}")).expect("matrix name");
-            let mut e = Experiment::new(Model::Llama3_70b, seq_len)
-                .policy(spec)
-                .step_mode(mode);
-            e.max_cycles = budget;
-            cells.push(e);
-        }
-    }
-    cells
-}
-
-/// Measures the 20-cell matrix per-cell (the rayon campaign baseline)
-/// and batched in lockstep over one shared scenario, best of `reps`,
-/// asserting the two paths produce byte-identical reports every rep.
-fn measure_batch_matrix(
-    regime: &'static str,
-    seq_len: usize,
-    mode: StepMode,
-    budget: Option<u64>,
-    reps: usize,
-) -> BatchRow {
-    let cells = matrix_cells(seq_len, mode, budget);
-    let mut per_cell_s = f64::MAX;
-    let mut per_cell_json: Vec<String> = Vec::new();
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let reports = llamcat_bench::run_experiments(&cells).expect("matrix runs");
-        per_cell_s = per_cell_s.min(t0.elapsed().as_secs_f64());
-        per_cell_json = reports
-            .iter()
-            .map(|r| serde_json::to_string(r).unwrap())
-            .collect();
-    }
-    let mut batch_s = f64::MAX;
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        let snap = cells[0].snapshot_scenario().expect("scenario builds");
-        let reports = Experiment::run_forked_batch(&cells, &snap);
-        batch_s = batch_s.min(t0.elapsed().as_secs_f64());
-        let batch_json: Vec<String> = reports
-            .iter()
-            .map(|r| serde_json::to_string(r).unwrap())
-            .collect();
-        assert_eq!(
-            batch_json, per_cell_json,
-            "batched {regime} matrix diverged from per-cell runs ({mode:?})"
-        );
-    }
-    BatchRow {
-        regime,
-        mode,
-        budget,
-        per_cell_s,
-        batch_s,
-    }
-}
-
-/// Batched lockstep execution of the 20-cell fig7 policy matrix vs the
-/// per-cell rayon baseline (`run_experiments`), in two regimes:
-/// full-depth cells (scenario build amortization plus shared-trace
-/// cache reuse) and budget-bounded triage cells (shallow probes, where
-/// the shared scenario build dominates each cell's runtime). Byte
-/// identity between the two paths is asserted on every measured rep —
-/// the `--test` smoke run is CI's check that the batched matrix
-/// reproduces the golden 20-cell table exactly.
-fn bench_batch_matrix(_c: &mut Criterion) {
-    let test_mode = std::env::args().any(|a| a == "--test");
-    let (seq_len, reps) = if test_mode { (256, 1) } else { (2048, 3) };
-
-    let mut rows = Vec::new();
-    for mode in [StepMode::Cycle, StepMode::Skip] {
-        rows.push(measure_batch_matrix("full", seq_len, mode, None, reps));
-        rows.push(measure_batch_matrix(
-            "triage",
-            seq_len,
-            mode,
-            Some(5_000),
-            reps,
-        ));
-    }
-
-    println!("\n### batch_matrix: 20-cell fig7 policy grid, lockstep vs per-cell (seq {seq_len}, best of {reps})");
-    println!(
-        "{:>8} {:>7} {:>8} {:>11} {:>9} {:>9}",
-        "regime", "mode", "budget", "per-cell-s", "batch-s", "speedup"
-    );
-    for row in &rows {
-        println!(
-            "{:>8} {:>7} {:>8} {:>11.3} {:>9.3} {:>8.2}x",
-            row.regime,
-            format!("{:?}", row.mode),
-            row.budget
-                .map(|b| b.to_string())
-                .unwrap_or_else(|| "-".into()),
-            row.per_cell_s,
-            row.batch_s,
-            row.speedup()
-        );
-    }
-
-    if let Ok(path) = std::env::var("LLAMCAT_SIM_SPEED_BATCH_JSON") {
-        let mut json = String::from("{\n  \"schema\": \"llamcat-sim-speed-batch/1\",\n");
-        json.push_str(&llamcat_bench::bench_meta_json_fields());
-        json.push_str(&format!("  \"seq_len\": {seq_len},\n  \"rows\": [\n"));
-        for (i, row) in rows.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"regime\": \"{}\", \"mode\": \"{:?}\", \"budget\": {}, \
-                 \"per_cell_s\": {:.4}, \"batch_s\": {:.4}, \"speedup\": {:.3}}}{}\n",
-                row.regime,
-                row.mode,
-                row.budget
-                    .map(|b| b.to_string())
-                    .unwrap_or_else(|| "null".into()),
-                row.per_cell_s,
-                row.batch_s,
-                row.speedup(),
-                if i + 1 == rows.len() { "" } else { "," }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        std::fs::write(&path, json).expect("write batch matrix JSON report");
-        println!("wrote {path}");
-    }
-}
-
 /// One measured throughput cell for the machine-readable report.
 struct SpeedCell {
     workload: &'static str,
@@ -469,6 +321,6 @@ fn bench_sim_speed_cells(_c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_cache, bench_mshr, bench_dram, bench_system, bench_step_mode, bench_sim_speed_cells, bench_batch_matrix
+    targets = bench_cache, bench_mshr, bench_dram, bench_system, bench_step_mode, bench_sim_speed_cells
 }
 criterion_main!(benches);

@@ -41,15 +41,15 @@
 //!   JSONL archive, appends the rest crash-safely, and merges into the
 //!   deterministic cell order; `--shard i/n` splits ride on the same
 //!   archive with byte-identical merged output.
-//! * **Warm-up-and-fork** — with [`Campaign::fork_scenarios`], cells
-//!   sharing a scenario build their system once and fork per policy
-//!   cell, byte-identical to the straight-line path.
+//! * **Back-compatible** — keys a campaign file carries that this
+//!   version no longer reads (such as the switches of retired
+//!   executors) are ignored, so old grid files parse and run unchanged.
 
 use std::collections::HashMap;
 use std::io::{self, Write};
 use std::path::Path;
 
-use llamcat::experiment::{Experiment, RunReport, ScenarioSnapshot};
+use llamcat::experiment::{Experiment, RunReport};
 use llamcat::spec::{KvSpec, MixSpec, PolicySpec, ServeSpec};
 use llamcat_sim::config::SystemConfig;
 use llamcat_sim::system::StepMode;
@@ -109,30 +109,6 @@ pub struct Campaign {
     /// cycle-accurate reference.
     #[serde(default)]
     pub step_mode: StepMode,
-    /// Warm-up-and-fork fast path: cells sharing a scenario (everything
-    /// but the policy) build their system — trace generation, program
-    /// mapping, preallocation, injector and KV tier — once, snapshot it
-    /// pre-tick, and fork one copy per policy cell. Byte-identical to
-    /// the straight-line path (`crates/bench/tests/campaign.rs` pins
-    /// this over the golden policy matrix in both step modes). Off by
-    /// default (also the serde default, so archived campaign files keep
-    /// parsing).
-    #[serde(default)]
-    pub fork_scenarios: bool,
-    /// Batched lockstep execution: cells sharing a scenario fork one
-    /// pre-tick snapshot (exactly as [`Campaign::fork_scenarios`] does)
-    /// and then advance *together* through a
-    /// [`llamcat_sim::batch::SystemBatch`], so the scenario's
-    /// `Arc`-shared immutable state is streamed through the cache once
-    /// per lockstep window instead of once per cell. Subsumes
-    /// `fork_scenarios` (the warm-up-and-fork prefix is the same);
-    /// records land in the same deterministic order with the same
-    /// [`cell_spec_hash`] addresses, byte-identical to both other
-    /// paths (`crates/bench/tests/campaign.rs` pins this). Off by
-    /// default (also the serde default, so archived campaign files
-    /// keep parsing).
-    #[serde(default)]
-    pub batch_cells: bool,
 }
 
 /// One point of the grid, fully self-describing (what to run).
@@ -283,8 +259,6 @@ impl Campaign {
             l_tile: 32,
             max_cycles: None,
             step_mode: StepMode::default(),
-            fork_scenarios: false,
-            batch_cells: false,
         }
     }
 
@@ -383,20 +357,6 @@ impl Campaign {
     /// cycle-accurate).
     pub fn step_mode(mut self, mode: StepMode) -> Self {
         self.step_mode = mode;
-        self
-    }
-
-    /// Opts into the warm-up-and-fork fast path (see the
-    /// [`Campaign::fork_scenarios`] field).
-    pub fn fork_scenarios(mut self, on: bool) -> Self {
-        self.fork_scenarios = on;
-        self
-    }
-
-    /// Opts into batched lockstep execution (see the
-    /// [`Campaign::batch_cells`] field).
-    pub fn batch_cells(mut self, on: bool) -> Self {
-        self.batch_cells = on;
         self
     }
 
@@ -857,14 +817,8 @@ impl Campaign {
             }));
         }
 
-        let reports = if self.batch_cells {
-            run_cells_batched(self, &batch)?
-        } else if self.fork_scenarios {
-            run_cells_forked(self, &batch)?
-        } else {
-            let experiments: Vec<Experiment> = batch.iter().map(|c| c.experiment(self)).collect();
-            run_experiments(&experiments)?
-        };
+        let experiments: Vec<Experiment> = batch.iter().map(|c| c.experiment(self)).collect();
+        let reports = run_experiments(&experiments)?;
 
         // Speedups and fairness first (borrowing the whole batch of
         // reports — the references point behind the todo prefix), then
@@ -992,114 +946,6 @@ pub fn cell_spec_hash(machine: &MachineSpec, cell: &CampaignCell) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3); // FNV-1a prime
     }
     h
-}
-
-/// Runs a batch of campaign cells through the warm-up-and-fork fast
-/// path: cells sharing a scenario (everything but the policy) build
-/// their system once — trace generation, program mapping and component
-/// preallocation are the dominant setup cost — freeze it pre-tick with
-/// [`Experiment::snapshot_scenario`], and fork one copy per policy
-/// cell. Byte-identical to [`run_experiments`] over the same cells
-/// (pinned in `crates/bench/tests/campaign.rs`): policies influence
-/// behaviour from cycle 0, so the shared prefix is exactly the
-/// policy-independent construction work, and [`Experiment::run_forked`]
-/// swaps in freshly-reset policies before any tick.
-fn run_cells_forked(campaign: &Campaign, batch: &[CampaignCell]) -> Result<Vec<RunReport>, String> {
-    let (reps, scenario_of) = group_by_scenario(batch);
-    // One policy-neutral warm-up per scenario, in parallel.
-    let snaps: Vec<Result<ScenarioSnapshot, String>> = reps
-        .par_iter()
-        .map(|cell| {
-            cell.experiment(campaign)
-                .snapshot_scenario()
-                .map_err(|e| e.to_string())
-        })
-        .collect();
-    let snaps = snaps.into_iter().collect::<Result<Vec<_>, _>>()?;
-    // Fork every cell off its scenario's snapshot, in parallel.
-    let indices: Vec<usize> = (0..batch.len()).collect();
-    let results: Vec<Result<RunReport, String>> = indices
-        .par_iter()
-        .map(|&i| {
-            batch[i]
-                .experiment(campaign)
-                .run_forked(&snaps[scenario_of[i]])
-                .map_err(|e| e.to_string())
-        })
-        .collect();
-    results.into_iter().collect()
-}
-
-/// Groups a cell batch by policy-free scenario key in first-seen order:
-/// one representative cell per scenario plus each cell's scenario
-/// index. Shared by the forked and batched execution paths so both
-/// carve up a batch identically (and therefore produce records in the
-/// same order for the same input).
-fn group_by_scenario(batch: &[CampaignCell]) -> (Vec<&CampaignCell>, Vec<usize>) {
-    let mut groups: HashMap<String, usize> = HashMap::new();
-    let mut scenario_of: Vec<usize> = Vec::with_capacity(batch.len());
-    let mut reps: Vec<&CampaignCell> = Vec::new();
-    for cell in batch {
-        let mut key_cell = cell.clone();
-        key_cell.policy = PolicySpec::unoptimized();
-        let key = serde_json::to_string(&key_cell).expect("cell serializes");
-        let g = *groups.entry(key).or_insert_with(|| {
-            reps.push(cell);
-            reps.len() - 1
-        });
-        scenario_of.push(g);
-    }
-    (reps, scenario_of)
-}
-
-/// Runs a batch of campaign cells through the batched lockstep path:
-/// the same scenario grouping and policy-neutral warm-up as
-/// [`run_cells_forked`], but each scenario's cells then advance
-/// *together* through [`Experiment::run_forked_batch`] instead of one
-/// straight-line run per fork. Scenarios still run in parallel;
-/// within a scenario the lockstep batch shares the `Arc`'d immutable
-/// scenario state across all its cells' cache footprints.
-/// Byte-identical to [`run_experiments`] and [`run_cells_forked`] over
-/// the same cells, in the same order (pinned in
-/// `crates/bench/tests/campaign.rs`).
-fn run_cells_batched(
-    campaign: &Campaign,
-    batch: &[CampaignCell],
-) -> Result<Vec<RunReport>, String> {
-    let (reps, scenario_of) = group_by_scenario(batch);
-    // Cells of each scenario, in batch order (which keeps the scatter
-    // below deterministic).
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); reps.len()];
-    for (i, &g) in scenario_of.iter().enumerate() {
-        members[g].push(i);
-    }
-    // One warm-up + lockstep batch per scenario; scenarios in parallel.
-    let group_ids: Vec<usize> = (0..reps.len()).collect();
-    let per_group: Vec<Result<Vec<RunReport>, String>> = group_ids
-        .par_iter()
-        .map(|&g| {
-            let snap = reps[g]
-                .experiment(campaign)
-                .snapshot_scenario()
-                .map_err(|e| e.to_string())?;
-            let exps: Vec<Experiment> = members[g]
-                .iter()
-                .map(|&i| batch[i].experiment(campaign))
-                .collect();
-            Ok(Experiment::run_forked_batch(&exps, &snap))
-        })
-        .collect();
-    // Scatter each scenario's reports back to batch positions.
-    let mut out: Vec<Option<RunReport>> = vec![None; batch.len()];
-    for (g, res) in per_group.into_iter().enumerate() {
-        for (&i, report) in members[g].iter().zip(res?) {
-            out[i] = Some(report);
-        }
-    }
-    Ok(out
-        .into_iter()
-        .map(|r| r.expect("every cell belongs to exactly one scenario"))
-        .collect())
 }
 
 /// Assembles a mix cell's fairness record from its report and the solo
@@ -1659,23 +1505,24 @@ mod tests {
         assert!(Campaign::new("n").policy_named("bogus").is_err());
     }
 
-    /// The warm-up-and-fork fast path must be invisible in the output:
-    /// same campaign, same bytes — solo cells, mix cells, fairness
-    /// references and baseline speedups included, in both step modes.
+    /// Campaign files written while the campaign runner still had
+    /// opt-in fork and lockstep-batch executors carry their switches.
+    /// Those keys must keep parsing (unknown fields are ignored) and
+    /// change nothing: same campaign, same bytes — solo cells, mix
+    /// cells, fairness references and baseline speedups included, in
+    /// both step modes.
     #[test]
-    fn forked_run_is_byte_identical_to_straight_line() {
+    fn legacy_executor_flags_parse_and_change_nothing() {
         for mode in [StepMode::Cycle, StepMode::Skip] {
-            let straight = tiny().mix(tiny_mix()).step_mode(mode).run().unwrap();
-            let forked = tiny()
-                .mix(tiny_mix())
-                .step_mode(mode)
-                .fork_scenarios(true)
-                .run()
-                .unwrap();
+            let campaign = tiny().mix(tiny_mix()).step_mode(mode);
+            let json = serde_json::to_string(&campaign).unwrap();
+            let legacy = json.replacen('{', r#"{"fork_scenarios":true,"batch_cells":true,"#, 1);
+            let parsed: Campaign = serde_json::from_str(&legacy).expect("legacy file parses");
+            assert_eq!(parsed, campaign);
             assert_eq!(
-                straight.jsonl(),
-                forked.jsonl(),
-                "fork fast path changed the stream ({mode:?})"
+                parsed.run().unwrap().jsonl(),
+                campaign.run().unwrap().jsonl(),
+                "legacy executor keys changed the stream ({mode:?})"
             );
         }
     }

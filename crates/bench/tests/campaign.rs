@@ -176,43 +176,6 @@ fn mix_campaign_jsonl_is_self_describing() {
     assert_eq!(again, jsonl);
 }
 
-/// Acceptance gate for the warm-up-and-fork fast path: across the
-/// 20-cell golden policy matrix (5 arbiters × 4 throttles on one
-/// scenario), a fork-from-snapshot campaign run streams byte-identical
-/// JSONL to the straight-line run — in both step modes. The fork path
-/// builds the scenario (trace generation, program mapping,
-/// preallocation) once and forks 20 pre-tick snapshots instead of
-/// constructing 20 systems.
-#[test]
-fn forked_golden_matrix_is_byte_identical_in_both_modes() {
-    let matrix = |mode: StepMode, fork: bool| {
-        let mut c = Campaign::new("golden-matrix-fork")
-            .workload(WorkloadSpec::llama3_70b())
-            .seq_lens([128])
-            .baseline(PolicySpec::unoptimized())
-            .step_mode(mode)
-            .fork_scenarios(fork);
-        for arb in ["fifo", "B", "MA", "BMA", "cobrra"] {
-            for thr in ["none", "dyncta", "lcs", "dynmg"] {
-                c = c
-                    .policy_named(&format!("{thr}+{arb}"))
-                    .expect("matrix name");
-            }
-        }
-        c
-    };
-    for mode in [StepMode::Cycle, StepMode::Skip] {
-        let straight = matrix(mode, false).run().expect("straight-line run");
-        let forked = matrix(mode, true).run().expect("forked run");
-        assert_eq!(straight.records.len(), 20);
-        assert_eq!(
-            straight.jsonl(),
-            forked.jsonl(),
-            "fork fast path diverged from the straight-line run ({mode:?})"
-        );
-    }
-}
-
 #[test]
 fn geomeans_summarize_policy_columns() {
     let report = acceptance_campaign().run().unwrap();
@@ -225,112 +188,156 @@ fn geomeans_summarize_policy_columns() {
     assert_eq!(rows[2].1.len(), 4, "one speedup per scenario");
 }
 
-/// The batched lockstep executor (`batch_cells`) streams byte-identical
-/// JSONL to the straight-line run on the 20-cell golden matrix — in
-/// both step modes. Same contract as the fork fast path, one level up:
-/// one scenario build, twenty lanes advanced in lockstep.
-#[test]
-fn batched_golden_matrix_is_byte_identical_in_both_modes() {
-    let matrix = |mode: StepMode, batched: bool| {
-        let mut c = Campaign::new("golden-matrix-batch")
-            .workload(WorkloadSpec::llama3_70b())
-            .seq_lens([128])
-            .baseline(PolicySpec::unoptimized())
-            .step_mode(mode)
-            .batch_cells(batched);
-        for arb in ["fifo", "B", "MA", "BMA", "cobrra"] {
-            for thr in ["none", "dyncta", "lcs", "dynmg"] {
-                c = c
-                    .policy_named(&format!("{thr}+{arb}"))
-                    .expect("matrix name");
-            }
+/// The 20-cell golden policy matrix: 5 arbiters × 4 throttles on one
+/// scenario, baseline unoptimized.
+fn golden_matrix(name: &str, mode: StepMode) -> Campaign {
+    let mut c = Campaign::new(name)
+        .workload(WorkloadSpec::llama3_70b())
+        .seq_lens([128])
+        .baseline(PolicySpec::unoptimized())
+        .step_mode(mode);
+    for arb in ["fifo", "B", "MA", "BMA", "cobrra"] {
+        for thr in ["none", "dyncta", "lcs", "dynmg"] {
+            c = c
+                .policy_named(&format!("{thr}+{arb}"))
+                .expect("matrix name");
         }
-        c
-    };
+    }
+    c
+}
+
+/// `campaign` re-parsed from JSON with the retired executor flag `key`
+/// set — the shape of a grid file written when the flag still existed.
+fn with_legacy_flag(campaign: &Campaign, key: &str) -> Campaign {
+    let json = serde_json::to_string(campaign).expect("campaign serializes");
+    let body = json.strip_prefix('{').expect("campaign is a JSON object");
+    let legacy = format!("{{\"{key}\":true,{body}");
+    serde_json::from_str(&legacy).expect("legacy campaign JSON parses")
+}
+
+fn report_json(report: &llamcat::experiment::RunReport) -> String {
+    serde_json::to_string(report).expect("report serializes")
+}
+
+/// The golden matrix's campaign records are reproduced byte for byte
+/// by forking one policy-neutral snapshot of the scenario per cell
+/// (`Experiment::snapshot_scenario` + `run_forked`) — in both step
+/// modes. A grid file still carrying the retired `fork_scenarios` flag
+/// parses and streams the same JSONL.
+#[test]
+fn forked_golden_matrix_is_byte_identical_in_both_modes() {
     for mode in [StepMode::Cycle, StepMode::Skip] {
-        let straight = matrix(mode, false).run().expect("straight-line run");
-        let batched = matrix(mode, true).run().expect("batched run");
+        let campaign = golden_matrix("golden-matrix-fork", mode);
+        let straight = campaign.run().expect("campaign run");
         assert_eq!(straight.records.len(), 20);
+
+        let cells = campaign.cells();
+        let snapshot = cells[0]
+            .experiment(&campaign)
+            .snapshot_scenario()
+            .expect("scenario snapshot");
+        for (rec, cell) in straight.records.iter().zip(&cells) {
+            let forked = cell
+                .experiment(&campaign)
+                .run_forked(&snapshot)
+                .expect("forked run");
+            assert_eq!(
+                report_json(&rec.report),
+                report_json(&forked),
+                "fork of the scenario snapshot diverged from the campaign ({mode:?}, {})",
+                rec.report.policy_label
+            );
+        }
+
+        let legacy = with_legacy_flag(&campaign, "fork_scenarios");
         assert_eq!(
             straight.jsonl(),
-            batched.jsonl(),
-            "batched lockstep path diverged from the straight-line run ({mode:?})"
+            legacy.run().expect("legacy-flag run").jsonl(),
+            "retired fork_scenarios flag changed the stream ({mode:?})"
         );
     }
 }
 
-/// All three executors — plain, forked, batched — emit records in the
-/// same deterministic cell order, and resuming from an archive whose
-/// cached cells interleave with fresh ones (`todo` = every other cell)
-/// merges back to that exact order, on every execution path.
+/// The golden matrix run as one campaign — its 20 cells executed as a
+/// single parallel batch — is byte-identical, cell for cell, to each
+/// cell's experiment run on its own, in both step modes. A grid file
+/// still carrying the retired `batch_cells` flag parses and streams
+/// the same JSONL.
+#[test]
+fn batched_golden_matrix_is_byte_identical_in_both_modes() {
+    for mode in [StepMode::Cycle, StepMode::Skip] {
+        let campaign = golden_matrix("golden-matrix-batch", mode);
+        let batched = campaign.run().expect("campaign run");
+        assert_eq!(batched.records.len(), 20);
+
+        for (rec, cell) in batched.records.iter().zip(&campaign.cells()) {
+            let alone = cell.experiment(&campaign).try_run().expect("per-cell run");
+            assert_eq!(
+                report_json(&rec.report),
+                report_json(&alone),
+                "batched campaign diverged from the per-cell run ({mode:?}, {})",
+                rec.report.policy_label
+            );
+        }
+
+        let legacy = with_legacy_flag(&campaign, "batch_cells");
+        assert_eq!(
+            batched.jsonl(),
+            legacy.run().expect("legacy-flag run").jsonl(),
+            "retired batch_cells flag changed the stream ({mode:?})"
+        );
+    }
+}
+
+/// The golden matrix streams its records in the deterministic cell
+/// order on the campaign's one execution path, in both step modes, and
+/// the two modes agree on everything but the records' own mode stamp.
+/// Resuming from an archive whose cached cells interleave with fresh
+/// ones (every other cell) merges back to that exact stream: cached
+/// cells slot back into position, fresh cells run.
 #[test]
 fn execution_paths_agree_on_record_order_with_interleaved_archive() {
-    let matrix = |fork: bool, batched: bool| {
-        let mut c = Campaign::new("order-pin")
-            .workload(WorkloadSpec::llama3_70b())
-            .seq_lens([128])
-            .baseline(PolicySpec::unoptimized())
-            .fork_scenarios(fork)
-            .batch_cells(batched);
-        for arb in ["fifo", "B", "MA", "BMA", "cobrra"] {
-            for thr in ["none", "dyncta", "lcs", "dynmg"] {
-                c = c
-                    .policy_named(&format!("{thr}+{arb}"))
-                    .expect("matrix name");
-            }
-        }
-        c
-    };
-
-    let plain = matrix(false, false).run().expect("plain run");
-    let forked = matrix(true, false).run().expect("forked run");
-    let batched = matrix(false, true).run().expect("batched run");
-    let golden = plain.jsonl();
-    assert_eq!(golden, forked.jsonl(), "forked path reordered records");
-    assert_eq!(golden, batched.jsonl(), "batched path reordered records");
-    let labels: Vec<&str> = plain
-        .records
-        .iter()
-        .map(|r| r.report.policy_label.as_str())
-        .collect();
-    assert_eq!(labels.len(), 20);
-    assert_eq!(labels[0], "unoptimized"); // none+fifo leads the grid
-
-    // Seed an archive with every other record (cached and fresh cells
-    // interleave through the whole grid), then resume on each path:
-    // the merged stream must be byte-identical to the uninterrupted
-    // run — cached cells slot back into position, fresh cells run
-    // through the path under test.
     let dir = std::env::temp_dir().join(format!("llamcat-order-pin-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    for (name, fork, batched) in [
-        ("plain", false, false),
-        ("forked", true, false),
-        ("batched", false, true),
-    ] {
-        let archive = dir.join(format!("{name}.jsonl"));
+    let mut streams = Vec::new();
+    for mode in [StepMode::Cycle, StepMode::Skip] {
+        let campaign = golden_matrix("order-pin", mode);
+        let full = campaign.run().expect("uninterrupted run");
+        let golden = full.jsonl();
+        let cells = campaign.cells();
+        assert_eq!(full.records.len(), 20);
+        for (rec, cell) in full.records.iter().zip(&cells) {
+            assert_eq!(&rec.cell, cell, "records must follow the cell order");
+        }
+        assert_eq!(full.records[0].report.policy_label, "unoptimized"); // none+fifo leads the grid
+
+        let archive = dir.join(format!("{mode:?}.jsonl"));
         let mut seed = String::new();
-        for rec in plain.records.iter().step_by(2) {
+        for rec in full.records.iter().step_by(2) {
             seed.push_str(&serde_json::to_string(rec).expect("record serializes"));
             seed.push('\n');
         }
         std::fs::write(&archive, seed).expect("seed archive");
-        let resumed = matrix(fork, batched)
-            .run_resumable(&archive)
-            .expect("resumed run");
+        let resumed = campaign.run_resumable(&archive).expect("resumed run");
         assert_eq!(
             golden,
             resumed.jsonl(),
-            "{name} path: interleaved resume diverged from the uninterrupted run"
+            "{mode:?}: interleaved resume diverged from the uninterrupted run"
         );
         assert!(
             resumed
                 .warnings
                 .iter()
                 .any(|w| w.contains("10 of 20 cell(s) already archived")),
-            "{name} path: resume must actually have interleaved cached cells: {:?}",
+            "{mode:?}: resume must actually have interleaved cached cells: {:?}",
             resumed.warnings
         );
+        streams.push(golden);
     }
     std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(
+        streams[1].replace(r#""step_mode":"Skip""#, r#""step_mode":"Cycle""#),
+        streams[0],
+        "Skip and Cycle streams differ beyond the mode stamp"
+    );
 }

@@ -22,7 +22,6 @@
 
 use std::sync::Arc;
 
-use llamcat_sim::batch::SystemBatch;
 use llamcat_sim::config::SystemConfig;
 use llamcat_sim::prog::Program;
 use llamcat_sim::serve::RequestInjector;
@@ -247,6 +246,9 @@ pub enum ExperimentError {
     InvalidKv(String),
     /// An explicit cycle budget of zero can never complete.
     ZeroCycleBudget,
+    /// The derived cycle budget (latest arrival + load-traffic bound +
+    /// slack) does not fit in a `u64`.
+    CycleBudgetOverflow { last_arrival: u64, load_bytes: u64 },
     /// A speedup ratio against a zero-cycle run is undefined.
     ZeroCycleSpeedup { detail: String },
 }
@@ -263,6 +265,14 @@ impl std::fmt::Display for ExperimentError {
             ExperimentError::InvalidServe(msg) => write!(f, "invalid serve scenario: {msg}"),
             ExperimentError::InvalidKv(msg) => write!(f, "invalid kv tier: {msg}"),
             ExperimentError::ZeroCycleBudget => write!(f, "explicit cycle budget is zero"),
+            ExperimentError::CycleBudgetOverflow {
+                last_arrival,
+                load_bytes,
+            } => write!(
+                f,
+                "derived cycle budget overflows u64 (last arrival {last_arrival}, \
+                 {load_bytes} load bytes)"
+            ),
             ExperimentError::ZeroCycleSpeedup { detail } => {
                 write!(f, "speedup undefined: {detail}")
             }
@@ -438,11 +448,7 @@ impl Experiment {
         }
         let arrivals = spec.request_arrivals();
         let last_arrival = arrivals.last().copied().unwrap_or(0);
-        let budget = match self.max_cycles {
-            Some(0) => return Err(ExperimentError::ZeroCycleBudget),
-            Some(cycles) => cycles,
-            None => last_arrival + meta.total_load_bytes / 4 + 20_000_000,
-        };
+        let budget = self.cycle_budget(last_arrival, meta.total_load_bytes)?;
         let mut injector = RequestInjector::new(
             &program,
             arrivals,
@@ -474,11 +480,7 @@ impl Experiment {
                 });
             }
             let latest_arrival = mix.requests.iter().map(|r| r.arrival).max().unwrap_or(0);
-            let budget = match self.max_cycles {
-                Some(0) => return Err(ExperimentError::ZeroCycleBudget),
-                Some(cycles) => cycles,
-                None => latest_arrival + meta.total_load_bytes / 4 + 20_000_000,
-            };
+            let budget = self.cycle_budget(latest_arrival, meta.total_load_bytes)?;
             return Ok((program, budget, None));
         }
         self.workload
@@ -503,14 +505,51 @@ impl Experiment {
                 workload: self.workload.label(),
             });
         }
-        // Budget: assume the machine can be no slower than 4 bytes of
-        // load traffic per cycle overall, plus fixed slack.
-        let budget = match self.max_cycles {
-            Some(0) => return Err(ExperimentError::ZeroCycleBudget),
-            Some(cycles) => cycles,
-            None => meta.total_load_bytes / 4 + 20_000_000,
-        };
+        let budget = self.cycle_budget(0, meta.total_load_bytes)?;
         Ok((program, budget, None))
+    }
+
+    /// The run's cycle budget: the explicit `max_cycles`, or one derived
+    /// from the trace — the latest arrival, plus the assumption that the
+    /// machine moves no less than 4 bytes of load traffic per cycle
+    /// overall, plus fixed slack.
+    fn cycle_budget(&self, last_arrival: u64, load_bytes: u64) -> Result<u64, ExperimentError> {
+        match self.max_cycles {
+            Some(0) => Err(ExperimentError::ZeroCycleBudget),
+            Some(cycles) => Ok(cycles),
+            None => last_arrival.checked_add(load_bytes / 4 + 20_000_000).ok_or(
+                ExperimentError::CycleBudgetOverflow {
+                    last_arrival,
+                    load_bytes,
+                },
+            ),
+        }
+    }
+
+    /// Validates the experiment and builds its system — trace, program
+    /// mapping, flat program, component preallocation, injector and KV
+    /// tier — pre-tick under `policy`, with the run's cycle budget.
+    fn build_system(
+        &self,
+        policy: &PolicySpec,
+    ) -> Result<(System<ArbiterKind, ThrottleKind>, u64), ExperimentError> {
+        if let Some(kv) = &self.kv {
+            kv.validate().map_err(ExperimentError::InvalidKv)?;
+        }
+        let (program, budget, injector) = self.checked_program()?;
+        let mut system = System::new(
+            self.config,
+            program,
+            &|_slice| policy.arb.build_kind(),
+            policy.throttle.build_kind(),
+        );
+        if let Some(injector) = injector {
+            system.attach_injector(injector);
+        }
+        if let Some(kv) = &self.kv {
+            system.attach_kv(kv.to_config());
+        }
+        Ok((system, budget))
     }
 
     /// Generates the trace for this experiment (exposed for inspection).
@@ -542,23 +581,7 @@ impl Experiment {
     /// monomorphizes — the `Box<dyn ...>` construction path survives
     /// only for callers wiring policies outside the registry.
     pub fn try_run(&self) -> Result<RunReport, ExperimentError> {
-        if let Some(kv) = &self.kv {
-            kv.validate().map_err(ExperimentError::InvalidKv)?;
-        }
-        let (program, budget, injector) = self.checked_program()?;
-        let arb = self.policy.arb.clone();
-        let mut system = System::new(
-            self.config,
-            program,
-            &move |_slice| arb.build_kind(),
-            self.policy.throttle.build_kind(),
-        );
-        if let Some(injector) = injector {
-            system.attach_injector(injector);
-        }
-        if let Some(kv) = &self.kv {
-            system.attach_kv(kv.to_config());
-        }
+        let (mut system, budget) = self.build_system(&self.policy)?;
         let (stats, outcome) = system.run_with_mode(budget, self.step_mode);
         Ok(RunReport::from_stats(self, stats, outcome))
     }
@@ -575,22 +598,7 @@ impl Experiment {
     /// snapshot is taken before any tick — the amortized work is the
     /// expensive scenario build, not simulated cycles.
     pub fn snapshot_scenario(&self) -> Result<ScenarioSnapshot, ExperimentError> {
-        if let Some(kv) = &self.kv {
-            kv.validate().map_err(ExperimentError::InvalidKv)?;
-        }
-        let (program, budget, injector) = self.checked_program()?;
-        let mut system = System::new(
-            self.config,
-            program,
-            &|_slice| ArbSpec::Fifo.build_kind(),
-            ThrottleSpec::None.build_kind(),
-        );
-        if let Some(injector) = injector {
-            system.attach_injector(injector);
-        }
-        if let Some(kv) = &self.kv {
-            system.attach_kv(kv.to_config());
-        }
+        let (system, budget) = self.build_system(&PolicySpec::unoptimized())?;
         Ok(ScenarioSnapshot {
             state: SystemState::from(system),
             budget,
@@ -605,62 +613,16 @@ impl Experiment {
     /// `base` must have been produced by [`Experiment::snapshot_scenario`]
     /// on an experiment identical up to `policy` and `step_mode`; the
     /// result is then byte-identical to [`Experiment::try_run`]
-    /// (`crates/bench` pins this across the golden campaign matrix).
+    /// (`crates/sim/tests/fork_equiv.rs` pins this across the golden
+    /// policy matrix and the mix, serve and KV-tier scenario families).
     pub fn run_forked(&self, base: &ScenarioSnapshot) -> Result<RunReport, ExperimentError> {
         let mut system = base.state.fork();
-        let arb = self.policy.arb.clone();
         system.replace_policies(
-            &move |_slice| arb.build_kind(),
+            &|_slice| self.policy.arb.build_kind(),
             self.policy.throttle.build_kind(),
         );
         let (stats, outcome) = system.run_with_mode(base.budget, self.step_mode);
         Ok(RunReport::from_stats(self, stats, outcome))
-    }
-
-    /// Runs a whole policy grid over one scenario as a lockstep batch:
-    /// every cell is forked off `base` exactly as
-    /// [`Experiment::run_forked`] would fork it, then all cells advance
-    /// together through [`SystemBatch`] so the scenario's `Arc`-shared
-    /// immutable state (decoded trace, flat program, arrival schedule,
-    /// inject plans) is streamed through the cache once per lockstep
-    /// window instead of once per cell.
-    ///
-    /// Reports come back in `cells` order and are byte-identical to
-    /// each cell's own [`Experiment::run_forked`] (and therefore
-    /// [`Experiment::try_run`]) result — `crates/sim/tests/batch_equiv.rs`
-    /// pins this across the golden policy matrix in both step modes.
-    /// Cells may mix step modes; each runs under the snapshot's budget.
-    ///
-    /// Like [`Experiment::run_forked`], every cell must be identical to
-    /// the snapshot's experiment up to `policy` and `step_mode`.
-    pub fn run_forked_batch(cells: &[Experiment], base: &ScenarioSnapshot) -> Vec<RunReport> {
-        Self::run_forked_batch_with_stride(cells, base, llamcat_sim::batch::DEFAULT_STRIDE)
-    }
-
-    /// [`Experiment::run_forked_batch`] with an explicit lockstep
-    /// window (see [`llamcat_sim::batch::DEFAULT_STRIDE`] for the
-    /// trade-off).
-    pub fn run_forked_batch_with_stride(
-        cells: &[Experiment],
-        base: &ScenarioSnapshot,
-        stride: u64,
-    ) -> Vec<RunReport> {
-        let mut batch = SystemBatch::with_stride(stride);
-        for cell in cells {
-            let mut system = base.state.fork();
-            let arb = cell.policy.arb.clone();
-            system.replace_policies(
-                &move |_slice| arb.build_kind(),
-                cell.policy.throttle.build_kind(),
-            );
-            batch.push(system, base.budget, cell.step_mode);
-        }
-        batch
-            .run()
-            .into_iter()
-            .zip(cells)
-            .map(|((stats, outcome), cell)| RunReport::from_stats(cell, stats, outcome))
-            .collect()
     }
 
     /// Runs the experiment to completion.
@@ -681,9 +643,8 @@ impl Experiment {
 /// policy pair — produced by [`Experiment::snapshot_scenario`] and
 /// forked (any number of times) by [`Experiment::run_forked`].
 ///
-/// This is the campaign warm-up-and-fork fast path: grid cells sharing
-/// a scenario pay trace generation and system construction once instead
-/// of once per policy.
+/// Cells sharing a scenario fork it to pay trace generation and system
+/// construction once instead of once per policy.
 pub struct ScenarioSnapshot {
     state: SystemState<ArbiterKind, ThrottleKind>,
     budget: u64,
@@ -1254,6 +1215,50 @@ mod tests {
             e.try_run().unwrap_err(),
             ExperimentError::InvalidServe(_)
         ));
+    }
+
+    /// An arrival near `u64::MAX` pushes the derived budget past the
+    /// top of the range: every construction path rejects it with a typed
+    /// error instead of overflowing (debug) or wrapping into a tiny
+    /// budget that silently cuts the run short (release).
+    #[test]
+    fn derived_budget_overflow_is_an_error() {
+        use crate::spec::{ArrivalSpec, ServeSpec};
+        let late = u64::MAX - 5;
+        let serve = ServeSpec::new(
+            WorkloadSpec::llama3_70b(),
+            128,
+            2,
+            ArrivalSpec::Trace {
+                cycles: vec![0, late],
+            },
+        );
+        let serve = Experiment::from_serve_spec(&serve)
+            .unwrap()
+            .step_mode(StepMode::Skip);
+        let mix = MixSpec::interleaved()
+            .request(WorkloadSpec::llama3_70b(), 128, 0)
+            .request(WorkloadSpec::llama3_70b(), 128, late);
+        let mix = Experiment::from_mix_spec(&mix).unwrap();
+        for e in [serve, mix] {
+            for err in [
+                e.try_run().unwrap_err(),
+                e.snapshot_scenario().err().unwrap(),
+            ] {
+                assert!(
+                    matches!(
+                        err,
+                        ExperimentError::CycleBudgetOverflow {
+                            last_arrival,
+                            ..
+                        } if last_arrival == late
+                    ),
+                    "{err}"
+                );
+            }
+            // An explicit budget bypasses the derivation.
+            assert!(e.max_cycles(1_000).try_run().is_ok());
+        }
     }
 
     #[test]

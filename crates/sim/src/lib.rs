@@ -57,7 +57,6 @@
 //! ```
 
 pub mod arb;
-pub mod batch;
 pub mod cache;
 pub mod config;
 pub mod core_model;
@@ -82,7 +81,6 @@ pub mod prelude {
         ArbiterCtx, FifoArbiter, NoThrottle, PortPreference, RequestArbiter, ThrottleController,
         ThrottleInputs,
     };
-    pub use crate::batch::SystemBatch;
     pub use crate::config::{
         CacheGeometry, CoreConfig, DramConfig, DramTiming, L1Config, L2Config, NocConfig,
         ReqRespPolicy, SystemConfig,

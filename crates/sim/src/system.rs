@@ -92,9 +92,7 @@ where
     /// The scenario's instruction streams and mapping. Shared: cloning
     /// (and therefore [`System::snapshot`] / [`SystemState::fork`])
     /// bumps a refcount instead of copying — every fork of one scenario
-    /// reads the same decoded trace, which is what lets
-    /// [`crate::batch::SystemBatch`] run a policy grid over one shared
-    /// trace instead of N private copies.
+    /// reads the same decoded trace instead of a private copy.
     program: Arc<Program>,
     /// Dense issue-path view of `program` (see [`FlatProgram`]).
     /// Shared across forks like `program`.
@@ -553,9 +551,9 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
     /// [`System::collect_stats`] — the machine is left in exactly the
     /// state the full run would leave it in, so a later `collect_stats`
     /// (or further `advance_with_mode` calls with a larger budget)
-    /// observes byte-identical results. [`crate::batch::SystemBatch`]
-    /// drives its lockstep chunks through this entry point so stats
-    /// assembly is paid once per cell, not once per chunk.
+    /// observes byte-identical results. Callers that advance in chunks
+    /// (pausing to snapshot or inspect) pay stats assembly once, not
+    /// once per chunk.
     pub fn advance_with_mode(&mut self, max_cycles: Cycle, mode: StepMode) -> RunOutcome {
         if self.cycle >= max_cycles {
             // A budget already spent: neither mode may run (or rewind)

@@ -1,33 +1,31 @@
-//! Differential suite for batched multi-cell execution.
+//! Differential suite for warm-up-and-fork execution.
 //!
-//! The contract ([`llamcat_sim::batch::SystemBatch`],
-//! `Experiment::run_forked_batch`): every cell of a lockstep batch —
-//! whatever the batch size, lockstep stride, step-mode mix, or the
-//! point at which other cells retire or exhaust their budgets — is
-//! **byte-identical** to its own straight-line per-cell run: same
-//! serialized `RunReport`/`SimStats` (per-request admission, TTFT,
-//! rejection and KV counters included), same `RunOutcome`. Covered:
-//! the 20-cell golden policy matrix, serving mixes, open-system serve
-//! cells (overload shedding included — the cells whose blocks never
-//! retire), KV-tier cells, budget edges around the exact completion
-//! cycle, and a proptest over random programs × batch sizes × strides
-//! × per-lane step modes.
+//! The contract (`Experiment::snapshot_scenario` +
+//! `Experiment::run_forked`): every policy cell forked off one
+//! policy-neutral, pre-tick scenario snapshot — whatever its policy,
+//! step mode or cycle budget — is **byte-identical** to its own
+//! straight-line `Experiment::try_run`: same serialized
+//! `RunReport`/`SimStats` (per-request admission, TTFT, rejection and
+//! KV counters included), same `RunOutcome`. Covered: the 20-cell
+//! golden policy matrix in both step modes (and both modes forked off
+//! one snapshot), serving mixes, open-system serve cells (overload
+//! shedding included — the cells whose blocks never retire), KV-tier
+//! cells, budget edges around the exact completion cycle, and a
+//! proptest over random open programs × budgets × step modes.
 //!
-//! This suite is what lets `Campaign::batch_cells` share one scenario
-//! across a policy grid without weakening the repo's standing
-//! Skip ≡ Cycle and fork ≡ straight-line guarantees.
+//! `tests/snapshot_equiv.rs` pins the layer underneath: a snapshot
+//! taken at any cycle resumes byte-identically.
 
 use proptest::prelude::*;
 
 use llamcat::experiment::{Experiment, Model, Policy, RunReport};
 use llamcat::spec::{ArrivalSpec, KvSpec, MixSpec, PolicySpec, ServePolicySpec, ServeSpec};
 use llamcat_sim::arb::{FifoArbiter, NoThrottle};
-use llamcat_sim::batch::{SystemBatch, DEFAULT_STRIDE};
 use llamcat_sim::config::SystemConfig;
 use llamcat_sim::kv::{KvEviction, KvTierConfig};
 use llamcat_sim::prog::{Instr, Program, ThreadBlock};
 use llamcat_sim::serve::{RequestInjector, ServePolicy};
-use llamcat_sim::system::{RunOutcome, StepMode, System};
+use llamcat_sim::system::{RunOutcome, StepMode, System, SystemState};
 use llamcat_trace::workloads::WorkloadSpec;
 
 const BUDGET: u64 = 50_000_000;
@@ -47,26 +45,20 @@ fn policy_matrix() -> Vec<PolicySpec> {
     out
 }
 
-/// Asserts that batching `cells` (all sharing one scenario) reproduces
-/// each cell's straight-line `try_run` byte-for-byte, at the default
-/// stride and at a deliberately tiny stride that forces many lockstep
-/// windows (pausing and resuming every cell mid-flight over and over).
-fn assert_batch_matches_per_cell(cells: &[Experiment], label: &str) {
-    let straight: Vec<String> = cells
-        .iter()
-        .map(|c| report_json(&c.try_run().expect("cell runs")))
-        .collect();
+/// Asserts that forking every cell off one snapshot of the shared
+/// scenario reproduces the cell's straight-line `try_run`
+/// byte-for-byte. The snapshot comes from the first cell; cells differ
+/// only in policy and step mode.
+fn assert_forks_match_straight_line(cells: &[Experiment], label: &str) {
     let snap = cells[0].snapshot_scenario().expect("scenario builds");
-    for stride in [DEFAULT_STRIDE, 997] {
-        let batched = Experiment::run_forked_batch_with_stride(cells, &snap, stride);
-        assert_eq!(batched.len(), cells.len());
-        for (i, report) in batched.iter().enumerate() {
-            assert_eq!(
-                report_json(report),
-                straight[i],
-                "{label}: cell {i} diverged from its straight-line run (stride {stride})"
-            );
-        }
+    for (i, cell) in cells.iter().enumerate() {
+        let straight = cell.try_run().expect("cell runs");
+        let forked = cell.run_forked(&snap).expect("fork runs");
+        assert_eq!(
+            report_json(&forked),
+            report_json(&straight),
+            "{label}: cell {i} diverged from its straight-line run"
+        );
     }
 }
 
@@ -86,19 +78,19 @@ fn matrix_cells(mode: StepMode) -> Vec<Experiment> {
 }
 
 #[test]
-fn golden_matrix_batched_matches_per_cell_cycle_mode() {
-    assert_batch_matches_per_cell(&matrix_cells(StepMode::Cycle), "matrix/cycle");
+fn golden_matrix_forked_matches_straight_line_cycle_mode() {
+    assert_forks_match_straight_line(&matrix_cells(StepMode::Cycle), "matrix/cycle");
 }
 
 #[test]
-fn golden_matrix_batched_matches_per_cell_skip_mode() {
-    assert_batch_matches_per_cell(&matrix_cells(StepMode::Skip), "matrix/skip");
+fn golden_matrix_forked_matches_straight_line_skip_mode() {
+    assert_forks_match_straight_line(&matrix_cells(StepMode::Skip), "matrix/skip");
 }
 
-/// Lanes of one batch may mix step modes — each must still match its
-/// own straight-line run in its own mode.
+/// The snapshot is mode-neutral: cells of both step modes fork off the
+/// same one and each matches its own straight-line run in its own mode.
 #[test]
-fn mixed_step_modes_in_one_batch() {
+fn one_snapshot_forks_into_both_step_modes() {
     let cells: Vec<Experiment> = policy_matrix()
         .into_iter()
         .enumerate()
@@ -113,7 +105,7 @@ fn mixed_step_modes_in_one_batch() {
                 .step_mode(mode)
         })
         .collect();
-    assert_batch_matches_per_cell(&cells, "matrix/mixed-modes");
+    assert_forks_match_straight_line(&cells, "matrix/mixed-modes");
 }
 
 // ---------------------------------------------------------------------
@@ -121,7 +113,7 @@ fn mixed_step_modes_in_one_batch() {
 // ---------------------------------------------------------------------
 
 #[test]
-fn mix_cells_batched_match_per_cell() {
+fn mix_cells_forked_match_straight_line() {
     let mix = MixSpec::interleaved()
         .request(WorkloadSpec::llama3_70b(), 128, 0)
         .request(
@@ -144,12 +136,12 @@ fn mix_cells_batched_match_per_cell() {
                     .step_mode(mode)
             })
             .collect();
-        assert_batch_matches_per_cell(&cells, &format!("mix/{mode:?}"));
+        assert_forks_match_straight_line(&cells, &format!("mix/{mode:?}"));
     }
 }
 
 #[test]
-fn serve_cells_batched_match_per_cell() {
+fn serve_cells_forked_match_straight_line() {
     let spec = ServeSpec::new(
         WorkloadSpec::llama3_70b(),
         128,
@@ -170,7 +162,7 @@ fn serve_cells_batched_match_per_cell() {
                     .step_mode(mode)
             })
             .collect();
-        assert_batch_matches_per_cell(&cells, &format!("serve/{mode:?}"));
+        assert_forks_match_straight_line(&cells, &format!("serve/{mode:?}"));
     }
 }
 
@@ -186,12 +178,12 @@ fn burst_storm() -> ArrivalSpec {
     }
 }
 
-/// Overload shedding in a batch: rejected/dropped requests' blocks
-/// never retire, so this pins the batched completion accounting (the
+/// Overload shedding on a fork: rejected/dropped requests' blocks
+/// never retire, so this pins the forked completion accounting (the
 /// shed-block counter behind the `is_done` fast path) along with the
 /// per-request rejection ledger.
 #[test]
-fn overload_serve_cells_batched_match_per_cell() {
+fn overload_serve_cells_forked_match_straight_line() {
     for scheduler in [
         ServePolicySpec::RejectAboveQueue { slots: 2, depth: 1 },
         ServePolicySpec::DeadlineDrop {
@@ -216,13 +208,13 @@ fn overload_serve_cells_batched_match_per_cell() {
                 probe.requests.iter().any(|r| r.rejected.is_some()),
                 "scenario must actually shed requests"
             );
-            assert_batch_matches_per_cell(&cells, &format!("overload/{mode:?}"));
+            assert_forks_match_straight_line(&cells, &format!("overload/{mode:?}"));
         }
     }
 }
 
 #[test]
-fn kv_tier_cells_batched_match_per_cell() {
+fn kv_tier_cells_forked_match_straight_line() {
     let mut mix = MixSpec::interleaved();
     for _ in 0..3 {
         mix = mix.request(
@@ -246,12 +238,12 @@ fn kv_tier_cells_batched_match_per_cell() {
                     .step_mode(mode)
             })
             .collect();
-        assert_batch_matches_per_cell(&cells, &format!("kv/{mode:?}"));
+        assert_forks_match_straight_line(&cells, &format!("kv/{mode:?}"));
     }
 }
 
 // ---------------------------------------------------------------------
-// Budget edges: lanes pause, retire and drop out at exact boundaries.
+// Budget edges: forks stop at exact boundaries around completion.
 // ---------------------------------------------------------------------
 
 /// The paper's stateful policy pair (BMA + DynMg) on a real trace.
@@ -267,56 +259,31 @@ fn rich_system() -> System<llamcat::arbiter::ArbiterKind, llamcat::throttle::Thr
     )
 }
 
-/// One batch whose lanes all share a scenario but carry budgets
-/// straddling the exact completion cycle: early lanes retire on their
-/// budgets mid-batch, the generous lanes complete, and nobody's exit
-/// perturbs anyone else. Each lane is byte-identical to a per-lane
-/// straight-line run with the same budget.
+/// Forks of one pre-tick base system, each run under a budget
+/// straddling the exact completion cycle, are byte-identical to a
+/// freshly built system run under the same budget.
 #[test]
-fn budget_edges_batched_match_straight_line() {
+fn budget_edges_forked_match_straight_line() {
+    let base = SystemState::from(rich_system());
     for mode in [StepMode::Cycle, StepMode::Skip] {
-        let mut reference = rich_system();
-        let (stats_ref, out_ref) = reference.run_with_mode(BUDGET, mode);
+        let (stats_ref, out_ref) = rich_system().run_with_mode(BUDGET, mode);
         assert_eq!(out_ref, RunOutcome::Completed);
         let full = stats_ref.cycles;
-
-        let budgets = [
-            1,
-            2,
-            97,
-            1_000,
-            full / 2,
-            full - 1,
-            full,
-            full + 1,
-            full + 10_000,
-        ];
-        let base = rich_system();
-        for stride in [DEFAULT_STRIDE, 131] {
-            let mut batch = SystemBatch::with_stride(stride);
-            for &b in &budgets {
-                batch.push(base.clone(), b, mode);
-            }
-            let results = batch.run();
-            for (&b, (stats, outcome)) in budgets.iter().zip(&results) {
-                let mut straight = rich_system();
-                let (stats_s, out_s) = straight.run_with_mode(b, mode);
-                assert_eq!(
-                    outcome, &out_s,
-                    "budget {b} ({mode:?}, stride {stride}): outcome diverged"
-                );
-                assert_eq!(
-                    serde_json::to_string(stats).unwrap(),
-                    serde_json::to_string(&stats_s).unwrap(),
-                    "budget {b} ({mode:?}, stride {stride}): SimStats diverged"
-                );
-            }
+        for b in [1, 2, 97, 1_000, full / 2, full - 1, full, full + 1] {
+            let (stats, outcome) = base.fork().run_with_mode(b, mode);
+            let (stats_s, out_s) = rich_system().run_with_mode(b, mode);
+            assert_eq!(outcome, out_s, "budget {b} ({mode:?}): outcome diverged");
+            assert_eq!(
+                serde_json::to_string(&stats).unwrap(),
+                serde_json::to_string(&stats_s).unwrap(),
+                "budget {b} ({mode:?}): SimStats diverged"
+            );
         }
     }
 }
 
 // ---------------------------------------------------------------------
-// Proptest: random open programs × batch sizes × strides × mode mixes.
+// Proptest: random open programs × budgets × step modes.
 // ---------------------------------------------------------------------
 
 fn small_cfg(cores: usize) -> SystemConfig {
@@ -381,17 +348,16 @@ fn open_kv_system(p: &Program, arrivals: Vec<u64>) -> System<FifoArbiter, NoThro
     sys
 }
 
-// Random open-system KV programs, random per-lane budget cut points
-// (so lanes retire at arbitrary mid-flight cycles while the rest carry
-// on), random per-lane step modes, random lockstep stride: every lane
-// of the batch is byte-identical to its own straight-line run.
+// Random open-system KV programs, random budget cut points (so forks
+// stop at arbitrary mid-flight cycles, requests still queued or KV
+// promotions in flight) and random step modes: every fork of the
+// pre-tick base is byte-identical to its own straight-line run.
 proptest! {
     #[test]
-    fn random_batches_match_straight_line(
+    fn random_forks_match_straight_line(
         shape in proptest::collection::vec(1usize..4, 2..5),
         gaps in proptest::collection::vec(0u64..2_000, 4),
         cuts in proptest::collection::vec((0u64..110, any::<bool>()), 1..6),
-        stride in 17u64..8_192,
     ) {
         let p = open_kv_program(&shape);
         let arrivals: Vec<u64> = gaps
@@ -408,34 +374,21 @@ proptest! {
         prop_assert_eq!(out_ref, RunOutcome::Completed);
         let full = stats_ref.cycles;
 
-        // Lanes: budget at cut% of the full run (past-the-end budgets
-        // complete; tiny ones retire almost immediately), mode per lane.
-        let lanes: Vec<(u64, StepMode)> = cuts
-            .iter()
-            .map(|&(frac, skip)| {
-                let budget = (full * frac / 100).max(1);
-                let mode = if skip { StepMode::Skip } else { StepMode::Cycle };
-                (budget, mode)
-            })
-            .collect();
-        let base = open_kv_system(&p, arrivals.clone());
-        let mut batch = SystemBatch::with_stride(stride);
-        for &(budget, mode) in &lanes {
-            batch.push(base.clone(), budget, mode);
-        }
-        let results = batch.run();
-        prop_assert_eq!(results.len(), lanes.len());
-        for (&(budget, mode), (stats, outcome)) in lanes.iter().zip(&results) {
-            let mut straight = open_kv_system(&p, arrivals.clone());
-            let (stats_s, out_s) = straight.run_with_mode(budget, mode);
-            prop_assert_eq!(outcome, &out_s);
+        // Budget at cut% of the full run: past-the-end budgets
+        // complete, tiny ones stop almost immediately.
+        let base = SystemState::from(open_kv_system(&p, arrivals.clone()));
+        for &(frac, skip) in &cuts {
+            let budget = (full * frac / 100).max(1);
+            let mode = if skip { StepMode::Skip } else { StepMode::Cycle };
+            let (stats, outcome) = base.fork().run_with_mode(budget, mode);
+            let (stats_s, out_s) = open_kv_system(&p, arrivals.clone()).run_with_mode(budget, mode);
+            prop_assert_eq!(outcome, out_s);
             prop_assert_eq!(
-                serde_json::to_string(stats).unwrap(),
+                serde_json::to_string(&stats).unwrap(),
                 serde_json::to_string(&stats_s).unwrap(),
-                "budget {} mode {:?} stride {} diverged",
+                "budget {} mode {:?} diverged",
                 budget,
-                mode,
-                stride
+                mode
             );
         }
     }
