@@ -11,9 +11,9 @@
 //! three panels' policies; every cell simulates exactly once and the
 //! panels are different normalizations of the same record grid.
 
-use llamcat::experiment::Model;
 use llamcat::spec::PolicySpec;
 use llamcat_bench::{print_speedup_table, scale_divisor, scale_label, Campaign, CampaignReport};
+use llamcat_trace::workloads::WorkloadSpec;
 
 /// Policy-column indices into the union campaign (ladder order).
 const UNOPT: usize = 0;
@@ -73,9 +73,9 @@ fn main() {
         seqs
     );
 
-    for model in [Model::Llama3_70b, Model::Llama3_405b] {
+    for model in [WorkloadSpec::llama3_70b(), WorkloadSpec::llama3_405b()] {
         let report = Campaign::new("fig7")
-            .workload(model.spec())
+            .workload(model)
             .seq_lens(seqs.iter().copied())
             .policies(union_policies())
             .run()

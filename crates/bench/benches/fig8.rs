@@ -11,9 +11,9 @@
 //! One [`Campaign`]: a single scenario crossed with the seven-policy
 //! ladder, normalized against the unoptimized column.
 
-use llamcat::experiment::Model;
 use llamcat::spec::PolicySpec;
 use llamcat_bench::{scale_divisor, scale_label, Campaign};
+use llamcat_trace::workloads::WorkloadSpec;
 
 fn main() {
     let seq = 8192 / scale_divisor();
@@ -23,7 +23,7 @@ fn main() {
         scale_label()
     );
     let report = Campaign::new("fig8")
-        .workload(Model::Llama3_70b.spec())
+        .workload(WorkloadSpec::llama3_70b())
         .seq_lens([seq])
         .policies([
             PolicySpec::unoptimized(),

@@ -7,9 +7,9 @@
 //! reference point is a *specific cell* — unoptimized @ 32 MB — rather
 //! than a per-scenario baseline).
 
-use llamcat::experiment::Model;
 use llamcat::spec::PolicySpec;
 use llamcat_bench::{fig9_policies, print_speedup_table, scale_divisor, scale_label, Campaign};
+use llamcat_trace::workloads::WorkloadSpec;
 
 fn main() {
     let seq = 32768 / scale_divisor();
@@ -20,11 +20,11 @@ fn main() {
         scale_label()
     );
 
-    for model in [Model::Llama3_70b, Model::Llama3_405b] {
+    for model in [WorkloadSpec::llama3_70b(), WorkloadSpec::llama3_405b()] {
         let mut policies = vec![PolicySpec::unoptimized()];
         policies.extend(fig9_policies());
         let report = Campaign::new("fig9")
-            .workload(model.spec())
+            .workload(model)
             .seq_lens([seq])
             .l2_sizes_mb(sizes)
             .policies(policies)

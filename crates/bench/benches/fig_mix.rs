@@ -5,7 +5,7 @@
 //! This target opens the contended regime: decode/prefill serving
 //! mixes, co-scheduled under both composition disciplines (core
 //! partitioning and interleaving), swept across the same 20
-//! ArbPolicy × ThrottlePolicy cells the golden table pins.
+//! arbitration × throttling cells the golden table pins.
 //!
 //! For every (mix, policy) cell the campaign engine also runs each
 //! request solo under the same policy and reports per-request fairness:

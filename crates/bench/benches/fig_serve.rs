@@ -32,10 +32,11 @@
 
 use std::time::Instant;
 
-use llamcat::experiment::{Experiment, Model, Policy, RunReport};
+use llamcat::experiment::{Experiment, RunReport};
 use llamcat::spec::{ArrivalSpec, PolicySpec, ServePolicySpec, ServeSpec, SloSpec};
 use llamcat_bench::{goodput_knee, run_experiments, scale_divisor, scale_label, GoodputKnee};
 use llamcat_sim::system::StepMode;
+use llamcat_trace::workloads::WorkloadSpec;
 
 /// One serving cell of the sweep: a serving policy × a cache policy.
 struct ServeCell {
@@ -126,7 +127,7 @@ fn serve_spec(
     cell: &ServeCell,
 ) -> ServeSpec {
     let mut spec = ServeSpec::new(
-        Model::Llama3_70b.spec(),
+        WorkloadSpec::llama3_70b(),
         seq_len,
         n_req,
         arrivals_for(mean_gap, bursty),
@@ -207,8 +208,8 @@ fn main() {
     // the sweep brackets the knee at every scale: gaps well above the
     // service time are the open ("light load") regime, gaps below it
     // force queueing.
-    let solo = Experiment::new(Model::Llama3_70b, seq_len)
-        .policy(Policy::dynmg_bma())
+    let solo = Experiment::from_spec(&WorkloadSpec::llama3_70b(), seq_len)
+        .policy(PolicySpec::dynmg_bma())
         .run();
     assert!(solo.completed && solo.cycles > 0);
     let svc = solo.cycles;

@@ -16,8 +16,8 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
-use llamcat::experiment::{Experiment, Model, Policy};
-use llamcat::spec::MixSpec;
+use llamcat::experiment::Experiment;
+use llamcat::spec::{MixSpec, PolicySpec};
 use llamcat_sim::arb::{FifoArbiter, NoThrottle};
 use llamcat_sim::cache::{InsertPolicy, SetAssocCache};
 use llamcat_sim::config::{DramConfig, SystemConfig};
@@ -115,14 +115,7 @@ fn bench_system(c: &mut Criterion) {
             .collect();
         let program = Program::round_robin(blocks, cfg.num_cores);
         b.iter_batched(
-            || {
-                System::new(
-                    cfg,
-                    program.clone(),
-                    &|_| Box::new(FifoArbiter),
-                    Box::new(NoThrottle),
-                )
-            },
+            || System::new(cfg, program.clone(), &|_| FifoArbiter, NoThrottle),
             |mut sys| {
                 let (stats, _) = sys.run(100_000);
                 stats.cycles
@@ -135,8 +128,8 @@ fn bench_system(c: &mut Criterion) {
 /// One cycle-vs-skip comparison on a fig7-shaped decode cell. Returns
 /// (cycle seconds, skip seconds, simulated cycles, executed event
 /// cycles) after asserting byte-identical `SimStats`.
-fn compare_modes(seq_len: usize, policy: Policy, compute_per_row: u32) -> (f64, f64, u64, u64) {
-    let mut e = Experiment::new(Model::Llama3_70b, seq_len).policy(policy);
+fn compare_modes(seq_len: usize, policy: PolicySpec, compute_per_row: u32) -> (f64, f64, u64, u64) {
+    let mut e = Experiment::from_spec(&WorkloadSpec::llama3_70b(), seq_len).policy(policy);
     e.tracegen.compute_cycles_per_row = compute_per_row;
     let program = e.build_program();
     let mk = |p: Program| {
@@ -144,8 +137,8 @@ fn compare_modes(seq_len: usize, policy: Policy, compute_per_row: u32) -> (f64, 
         System::new(
             e.config,
             p,
-            &move |_| arb.build(),
-            e.policy.build_throttle(),
+            &move |_| arb.build_kind(),
+            e.policy.throttle.build_kind(),
         )
     };
     let t0 = Instant::now();
@@ -190,7 +183,7 @@ fn bench_step_mode(_c: &mut Criterion) {
     );
     for &cpr in spectrum {
         let (t_cycle, t_skip, cycles, executed) =
-            compare_modes(seq_len, Policy::unoptimized(), cpr);
+            compare_modes(seq_len, PolicySpec::unoptimized(), cpr);
         println!(
             "{:>8} {:>12} {:>10.3} {:>10.3} {:>10.3} {:>8.2}x",
             cpr,
@@ -202,7 +195,7 @@ fn bench_step_mode(_c: &mut Criterion) {
         );
     }
     // The full policy stack must stay byte-identical under skip too.
-    let (t_cycle, t_skip, ..) = compare_modes(seq_len, Policy::dynmg_bma(), 1);
+    let (t_cycle, t_skip, ..) = compare_modes(seq_len, PolicySpec::dynmg_bma(), 1);
     println!("  dynmg+BMA (cpr 1): cycle {t_cycle:.3}s skip {t_skip:.3}s");
 }
 
@@ -253,9 +246,11 @@ fn bench_sim_speed_cells(_c: &mut Criterion) {
     let (seq_len, reps) = if test_mode { (256, 1) } else { (2048, 3) };
 
     let mut cells = Vec::new();
-    let decode = Experiment::new(Model::Llama3_70b, seq_len).policy(Policy::unoptimized());
+    let decode = Experiment::from_spec(&WorkloadSpec::llama3_70b(), seq_len)
+        .policy(PolicySpec::unoptimized());
     measure_cell("fig7-decode-70b", &decode, reps, &mut cells);
-    let decode_bma = Experiment::new(Model::Llama3_70b, seq_len).policy(Policy::dynmg_bma());
+    let decode_bma =
+        Experiment::from_spec(&WorkloadSpec::llama3_70b(), seq_len).policy(PolicySpec::dynmg_bma());
     measure_cell("fig7-decode-70b-dynmg+BMA", &decode_bma, reps, &mut cells);
     let prefill = Experiment::from_spec(
         &WorkloadSpec::PrefillLogit {
@@ -266,7 +261,7 @@ fn bench_sim_speed_cells(_c: &mut Criterion) {
         },
         seq_len,
     )
-    .policy(Policy::unoptimized());
+    .policy(PolicySpec::unoptimized());
     measure_cell("prefill-logit", &prefill, reps, &mut cells);
     let mix = MixSpec::partitioned()
         .request(WorkloadSpec::llama3_70b(), seq_len, 0)
@@ -282,7 +277,7 @@ fn bench_sim_speed_cells(_c: &mut Criterion) {
         );
     let mix_exp = Experiment::from_mix_spec(&mix)
         .expect("mix composes")
-        .policy(Policy::dynmg_bma());
+        .policy(PolicySpec::dynmg_bma());
     measure_cell("mix-decode+prefill-dynmg+BMA", &mix_exp, reps, &mut cells);
 
     println!("\n### sim_speed cells (seq {seq_len}, best of {reps})");

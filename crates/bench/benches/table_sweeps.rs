@@ -13,10 +13,10 @@
 //! what the removed `LLAMCAT_DYNMG_*` environment variables could not
 //! express per-cell.
 
-use llamcat::experiment::Model;
 use llamcat::spec::PolicySpec;
 use llamcat::throttle::{DynMgConfig, InCoreConfig};
 use llamcat_bench::{scale_divisor, scale_label, Campaign};
+use llamcat_trace::workloads::WorkloadSpec;
 
 /// Runs one dynmg-config sweep and prints speedup-over-unoptimized per
 /// candidate, tagging `default_idx` as the chosen operating point.
@@ -30,7 +30,7 @@ fn sweep(
 ) {
     let (labels, configs): (Vec<_>, Vec<_>) = candidates.into_iter().unzip();
     let report = Campaign::new(title)
-        .workload(Model::Llama3_70b.spec())
+        .workload(WorkloadSpec::llama3_70b())
         .seq_lens([seq])
         .policies(configs.into_iter().map(PolicySpec::dynmg_with))
         .baseline(PolicySpec::unoptimized())
@@ -104,7 +104,7 @@ fn main() {
     println!("\n### Table 3 sweep: t_cs classification bands (edges scaled)");
     println!("{:<18} {:>10}", "band scale", "note");
     let unopt = Campaign::new("table3")
-        .workload(Model::Llama3_70b.spec())
+        .workload(WorkloadSpec::llama3_70b())
         .seq_lens([seq])
         .policy(PolicySpec::unoptimized())
         .run()

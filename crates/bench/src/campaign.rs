@@ -1102,11 +1102,10 @@ impl CampaignReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llamcat::experiment::Model;
 
     fn tiny() -> Campaign {
         Campaign::new("tiny")
-            .workload(Model::Llama3_70b.spec())
+            .workload(WorkloadSpec::llama3_70b())
             .seq_lens([128])
             .policy(PolicySpec::unoptimized())
             .policy(PolicySpec::dynmg_bma())
@@ -1116,8 +1115,8 @@ mod tests {
     #[test]
     fn cell_order_is_policy_innermost() {
         let c = Campaign::new("order")
-            .workload(Model::Llama3_70b.spec())
-            .workload(Model::Llama3_405b.spec())
+            .workload(WorkloadSpec::llama3_70b())
+            .workload(WorkloadSpec::llama3_405b())
             .seq_lens([128, 256])
             .l2_sizes_mb([16, 32])
             .policy(PolicySpec::unoptimized())
@@ -1131,7 +1130,7 @@ mod tests {
         // l2 is the next-fastest axis, then seq_len, then workload.
         assert_eq!(cells[2].l2_mb, 32);
         assert_eq!(cells[4].seq_len, 256);
-        assert_eq!(cells[8].workload, Model::Llama3_405b.spec());
+        assert_eq!(cells[8].workload, WorkloadSpec::llama3_405b());
     }
 
     #[test]
@@ -1165,7 +1164,7 @@ mod tests {
     fn empty_axes_are_rejected() {
         assert!(Campaign::new("e").run().is_err());
         let no_policy = Campaign::new("e")
-            .workload(Model::Llama3_70b.spec())
+            .workload(WorkloadSpec::llama3_70b())
             .seq_lens([128]);
         assert!(no_policy.run().is_err());
         let bad_tile = tiny().seq_lens([100]); // 100 % 32 != 0
@@ -1410,7 +1409,7 @@ mod tests {
     #[test]
     fn kv_cells_attach_the_tier_and_report_counters() {
         let report = Campaign::new("kv")
-            .workload(Model::Llama3_70b.spec())
+            .workload(WorkloadSpec::llama3_70b())
             .seq_lens([128])
             .policy(PolicySpec::dynmg_bma())
             .kv(KvSpec::lru(16))

@@ -25,9 +25,7 @@
 
 pub mod campaign;
 
-use std::time::Instant;
-
-use llamcat::experiment::{geomean, Experiment, Model, Policy, RunReport};
+use llamcat::experiment::geomean;
 use llamcat::spec::PolicySpec;
 
 pub use campaign::{
@@ -145,55 +143,6 @@ pub fn scale_label() -> String {
         8 => "quick".into(),
         other => format!("1/{other}"),
     }
-}
-
-/// One grid cell to simulate (legacy shim over [`CampaignCell`]).
-#[derive(Debug, Clone)]
-pub struct Cell {
-    pub model: Model,
-    pub seq_len: usize,
-    pub policy: Policy,
-    pub l2_mb: u64,
-}
-
-impl Cell {
-    /// The open-world cell this legacy shim stands for.
-    pub fn to_campaign_cell(&self) -> CampaignCell {
-        CampaignCell {
-            workload: self.model.spec(),
-            seq_len: self.seq_len,
-            l2_mb: self.l2_mb,
-            policy: self.policy.into(),
-            mix: None,
-            serve: None,
-            kv: None,
-        }
-    }
-}
-
-/// Runs a set of cells in parallel (simulations are independent and
-/// deterministic) and returns the reports in input order. Thin wrapper
-/// over the campaign executor ([`run_experiments`]).
-pub fn run_cells(cells: &[Cell]) -> Vec<RunReport> {
-    let experiments: Vec<Experiment> = cells
-        .iter()
-        .map(|c| {
-            Experiment::new(c.model, c.seq_len)
-                .policy(c.policy)
-                .l2_mb(c.l2_mb)
-        })
-        .collect();
-    run_experiments(&experiments).expect("legacy cells are never degenerate")
-}
-
-/// Runs one experiment, timing the wall clock.
-pub fn run_one(model: Model, seq_len: usize, policy: Policy, l2_mb: u64) -> (RunReport, f64) {
-    let t0 = Instant::now();
-    let r = Experiment::new(model, seq_len)
-        .policy(policy)
-        .l2_mb(l2_mb)
-        .run();
-    (r, t0.elapsed().as_secs_f64())
 }
 
 /// Formats a speedup table: one row per policy, one column per x value.
@@ -340,37 +289,17 @@ mod tests {
     }
 
     #[test]
-    fn run_cells_preserves_order() {
-        let cells = vec![
-            Cell {
-                model: Model::Llama3_70b,
-                seq_len: 128,
-                policy: Policy::unoptimized(),
-                l2_mb: 16,
-            },
-            Cell {
-                model: Model::Llama3_405b,
-                seq_len: 128,
-                policy: Policy::unoptimized(),
-                l2_mb: 16,
-            },
-        ];
-        let reports = run_cells(&cells);
+    fn run_experiments_preserves_order() {
+        use llamcat::experiment::Experiment;
+        use llamcat_trace::workloads::WorkloadSpec;
+
+        let experiments: Vec<Experiment> =
+            [WorkloadSpec::llama3_70b(), WorkloadSpec::llama3_405b()]
+                .iter()
+                .map(|w| Experiment::from_spec(w, 128))
+                .collect();
+        let reports = run_experiments(&experiments).expect("cells are valid");
         assert_eq!(reports[0].workload_label, "llama3 70b");
         assert_eq!(reports[1].workload_label, "llama3 405b");
-    }
-
-    #[test]
-    fn legacy_cell_converts_to_campaign_cell() {
-        let cell = Cell {
-            model: Model::Llama3_70b,
-            seq_len: 256,
-            policy: Policy::dynmg_bma(),
-            l2_mb: 32,
-        };
-        let cc = cell.to_campaign_cell();
-        assert_eq!(cc.policy, PolicySpec::dynmg_bma());
-        assert_eq!(cc.seq_len, 256);
-        assert_eq!(cc.l2_mb, 32);
     }
 }

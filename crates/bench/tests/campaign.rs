@@ -94,11 +94,11 @@ fn campaign_matches_direct_experiments() {
         .baseline(PolicySpec::unoptimized());
     let report = campaign.run().unwrap();
 
-    use llamcat::experiment::{Experiment, Model, Policy};
-    let direct = Experiment::new(Model::Llama3_70b, 128)
-        .policy(Policy::dynmg_bma())
+    use llamcat::experiment::Experiment;
+    let direct = Experiment::from_spec(&WorkloadSpec::llama3_70b(), 128)
+        .policy(PolicySpec::dynmg_bma())
         .run();
-    let base = Experiment::new(Model::Llama3_70b, 128).run();
+    let base = Experiment::from_spec(&WorkloadSpec::llama3_70b(), 128).run();
     assert_eq!(report.records[0].report.cycles, direct.cycles);
     assert_eq!(
         report.records[0].speedup.unwrap(),

@@ -1,48 +1,37 @@
-//! The figure benches fan experiments out with `run_cells` (rayon).
-//! Parallel execution must not perturb results: each cell's report has
-//! to match a sequential run of the same experiment, in input order,
-//! every time — in both simulation step modes, whose JSONL output must
-//! additionally be byte-identical to each other.
+//! The figure benches fan experiments out with `run_experiments`
+//! (rayon). Parallel execution must not perturb results: each cell's
+//! report has to match a sequential run of the same experiment, in
+//! input order, every time — in both simulation step modes, whose JSONL
+//! output must additionally be byte-identical to each other.
 
-use llamcat::experiment::{Experiment, Model, Policy};
-use llamcat_bench::{run_cells, run_experiments, Cell};
+use llamcat::experiment::Experiment;
+use llamcat::spec::PolicySpec;
+use llamcat_bench::run_experiments;
 use llamcat_sim::system::StepMode;
+use llamcat_trace::workloads::WorkloadSpec;
 
-fn small_grid() -> Vec<Cell> {
-    let policies = [
-        Policy::unoptimized(),
-        Policy::dynmg(),
-        Policy::dynmg_bma(),
-        Policy::lcs(),
-    ];
-    policies
-        .iter()
-        .map(|&policy| Cell {
-            model: Model::Llama3_70b,
-            seq_len: 128,
-            policy,
-            l2_mb: 16,
-        })
-        .collect()
-}
-
-fn experiments(cells: &[Cell], mode: StepMode) -> Vec<Experiment> {
-    cells
-        .iter()
-        .map(|c| {
-            Experiment::new(c.model, c.seq_len)
-                .policy(c.policy)
-                .l2_mb(c.l2_mb)
-                .step_mode(mode)
-        })
-        .collect()
+/// Four policies on llama3 70b @ seq 128, 16 MB L2.
+fn experiments(mode: StepMode) -> Vec<Experiment> {
+    [
+        PolicySpec::unoptimized(),
+        PolicySpec::dynmg(),
+        PolicySpec::dynmg_bma(),
+        PolicySpec::lcs(),
+    ]
+    .into_iter()
+    .map(|policy| {
+        Experiment::from_spec(&WorkloadSpec::llama3_70b(), 128)
+            .policy(policy)
+            .l2_mb(16)
+            .step_mode(mode)
+    })
+    .collect()
 }
 
 #[test]
 fn parallel_sweep_matches_sequential_runs() {
-    let cells = small_grid();
     for mode in [StepMode::Cycle, StepMode::Skip] {
-        let exps = experiments(&cells, mode);
+        let exps = experiments(mode);
         let parallel = run_experiments(&exps).unwrap();
         let sequential: Vec<_> = exps.iter().map(|e| e.run()).collect();
         for (p, s) in parallel.iter().zip(&sequential) {
@@ -62,9 +51,9 @@ fn parallel_sweep_matches_sequential_runs() {
 
 #[test]
 fn parallel_sweep_is_repeatable() {
-    let cells = small_grid();
-    let a = run_cells(&cells);
-    let b = run_cells(&cells);
+    let exps = experiments(StepMode::Cycle);
+    let a = run_experiments(&exps).unwrap();
+    let b = run_experiments(&exps).unwrap();
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(
             x.cycles, y.cycles,
@@ -78,9 +67,8 @@ fn parallel_sweep_is_repeatable() {
 /// cycle-accurate sweep streams: same reports, same order.
 #[test]
 fn parallel_skip_sweep_is_byte_identical_to_cycle_sweep() {
-    let cells = small_grid();
-    let cycle = run_experiments(&experiments(&cells, StepMode::Cycle)).unwrap();
-    let skip = run_experiments(&experiments(&cells, StepMode::Skip)).unwrap();
+    let cycle = run_experiments(&experiments(StepMode::Cycle)).unwrap();
+    let skip = run_experiments(&experiments(StepMode::Skip)).unwrap();
     let jsonl = |reports: &[llamcat::experiment::RunReport]| {
         reports
             .iter()
@@ -97,9 +85,8 @@ fn parallel_skip_sweep_is_byte_identical_to_cycle_sweep() {
 /// except for the self-describing `step_mode` fields themselves.
 #[test]
 fn parallel_mix_campaign_is_repeatable_and_mode_equivalent() {
-    use llamcat::spec::{MixSpec, PolicySpec};
+    use llamcat::spec::MixSpec;
     use llamcat_bench::Campaign;
-    use llamcat_trace::workloads::WorkloadSpec;
 
     let mix = MixSpec::interleaved()
         .request(WorkloadSpec::llama3_70b(), 128, 0)

@@ -31,8 +31,8 @@ use llamcat_sim::types::Cycle;
 /// monomorphize the simulator's per-tick dispatch: the experiment layer
 /// builds a `System<ArbiterKind, ThrottleKind>` so the hot loop issues
 /// no virtual calls (the variant check is a predictable branch — every
-/// slice holds the same variant for a whole run). `Box<dyn
-/// RequestArbiter>` remains available for policies outside this set.
+/// slice holds the same variant for a whole run). A policy outside
+/// this set is its own type parameter of `System`.
 #[derive(Clone)]
 pub enum ArbiterKind {
     Fifo(FifoArbiter),

@@ -3,22 +3,24 @@
 //!
 //! This is the entry point the benchmark harness, the examples and most
 //! downstream users go through. The workload layer is open — anything
-//! implementing [`Workload`] runs; [`Model`] remains as a thin preset
-//! shim for the paper's two Llama3 shapes:
+//! implementing [`Workload`] runs; [`WorkloadSpec`] names the paper's
+//! two Llama3 shapes and the other serializable families:
 //!
 //! ```
-//! use llamcat::experiment::{Experiment, Model, Policy};
+//! use llamcat::experiment::Experiment;
+//! use llamcat::spec::PolicySpec;
+//! use llamcat_trace::workloads::WorkloadSpec;
 //!
-//! let report = Experiment::new(Model::Llama3_70b, 512)
-//!     .policy(Policy::dynmg_bma())
+//! let report = Experiment::from_spec(&WorkloadSpec::llama3_70b(), 512)
+//!     .policy(PolicySpec::dynmg_bma())
 //!     .run();
 //! assert!(report.completed);
 //! ```
 //!
-//! Policies are data: [`Experiment::policy`] accepts anything
-//! convertible to a [`PolicySpec`] — the legacy [`Policy`] selector
-//! pairs, a registry name via [`PolicySpec::from_name`], or a spec with
-//! explicit embedded configurations (see [`crate::spec`]).
+//! Policies are data: [`Experiment::policy`] takes a [`PolicySpec`] —
+//! a factory such as [`PolicySpec::dynmg_bma`], a registry name via
+//! [`PolicySpec::from_name`], or a spec with explicit embedded
+//! configurations (see [`crate::spec`]).
 
 use std::sync::Arc;
 
@@ -29,199 +31,14 @@ use llamcat_sim::stats::{KvTierStats, SimStats, SloOutcome};
 use llamcat_sim::system::{RunOutcome, StepMode, System, SystemState};
 use llamcat_trace::mix::{generate_serve_set, WorkloadMix};
 use llamcat_trace::tracegen::TraceGenConfig;
-use llamcat_trace::workload::LogitOp;
-use llamcat_trace::workloads::{LogitWorkload, Workload, WorkloadSpec};
+use llamcat_trace::workloads::{Workload, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
 use crate::arbiter::ArbiterKind;
-use crate::spec::{ArbSpec, KvSpec, MixSpec, PolicySpec, ServeSpec, ThrottleSpec};
+use crate::spec::{KvSpec, MixSpec, PolicySpec, ServeSpec};
 use crate::throttle::ThrottleKind;
 
 pub use llamcat_trace::mapping::Layout;
-
-/// Evaluated model shapes (Section 6.2.2) — a thin preset shim over the
-/// open [`Workload`] layer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-#[allow(non_camel_case_types)]
-pub enum Model {
-    /// Llama3 70b: H=8, G=8, D=128.
-    Llama3_70b,
-    /// Llama3 405b: H=8, G=16, D=128.
-    Llama3_405b,
-}
-
-impl Model {
-    pub fn op(&self, seq_len: usize) -> LogitOp {
-        match self {
-            Model::Llama3_70b => LogitOp::llama3_70b(seq_len),
-            Model::Llama3_405b => LogitOp::llama3_405b(seq_len),
-        }
-    }
-
-    /// The serializable workload family of this preset.
-    pub fn spec(&self) -> WorkloadSpec {
-        match self {
-            Model::Llama3_70b => WorkloadSpec::llama3_70b(),
-            Model::Llama3_405b => WorkloadSpec::llama3_405b(),
-        }
-    }
-
-    /// The runnable workload of this preset at one sequence length.
-    pub fn workload(&self, seq_len: usize) -> Arc<dyn Workload> {
-        Arc::new(LogitWorkload::new(self.op(seq_len)))
-    }
-
-    pub fn label(&self) -> &'static str {
-        match self {
-            Model::Llama3_70b => "llama3 70b",
-            Model::Llama3_405b => "llama3 405b",
-        }
-    }
-}
-
-/// Request-arbitration policy selector (legacy closed-world enum; the
-/// open path is [`ArbSpec`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ArbPolicy {
-    /// Default FIFO (unoptimized).
-    Fifo,
-    /// Balanced ("B").
-    Balanced,
-    /// MSHR-aware with FIFO tie-break ("MA").
-    MshrAware,
-    /// MSHR-aware with balanced tie-break ("BMA").
-    BalancedMshrAware,
-    /// COBRRA baseline.
-    Cobrra,
-}
-
-impl ArbPolicy {
-    pub fn label(&self) -> &'static str {
-        self.spec().label()
-    }
-
-    /// The open-world spec this selector stands for.
-    pub fn spec(&self) -> ArbSpec {
-        match self {
-            ArbPolicy::Fifo => ArbSpec::Fifo,
-            ArbPolicy::Balanced => ArbSpec::Balanced,
-            ArbPolicy::MshrAware => ArbSpec::MshrAware,
-            ArbPolicy::BalancedMshrAware => ArbSpec::BalancedMshrAware,
-            ArbPolicy::Cobrra => ArbSpec::Cobrra,
-        }
-    }
-}
-
-impl From<ArbPolicy> for ArbSpec {
-    fn from(p: ArbPolicy) -> ArbSpec {
-        p.spec()
-    }
-}
-
-/// Thread-throttling policy selector (legacy closed-world enum; the
-/// open path is [`ThrottleSpec`] with embedded configuration).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ThrottlePolicy {
-    /// No throttling (unoptimized).
-    None,
-    /// DYNCTA baseline.
-    Dyncta,
-    /// LCS baseline.
-    Lcs,
-    /// The paper's two-level dynamic multi-gear controller.
-    DynMg,
-}
-
-impl ThrottlePolicy {
-    pub fn label(&self) -> &'static str {
-        self.spec().label()
-    }
-
-    /// The open-world spec (with default configuration) this selector
-    /// stands for.
-    pub fn spec(&self) -> ThrottleSpec {
-        match self {
-            ThrottlePolicy::None => ThrottleSpec::None,
-            ThrottlePolicy::Dyncta => ThrottleSpec::dyncta(),
-            ThrottlePolicy::Lcs => ThrottleSpec::Lcs,
-            ThrottlePolicy::DynMg => ThrottleSpec::dynmg(),
-        }
-    }
-}
-
-impl From<ThrottlePolicy> for ThrottleSpec {
-    fn from(p: ThrottlePolicy) -> ThrottleSpec {
-        p.spec()
-    }
-}
-
-/// A complete policy combination as named in the paper's figures
-/// (legacy `Copy` selector pair; converts into [`PolicySpec`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Policy {
-    pub arb: ArbPolicy,
-    pub throttle: ThrottlePolicy,
-}
-
-impl Policy {
-    pub const fn new(arb: ArbPolicy, throttle: ThrottlePolicy) -> Self {
-        Policy { arb, throttle }
-    }
-
-    /// The unoptimized baseline (FIFO, no throttling).
-    pub const fn unoptimized() -> Self {
-        Policy::new(ArbPolicy::Fifo, ThrottlePolicy::None)
-    }
-
-    pub const fn dyncta() -> Self {
-        Policy::new(ArbPolicy::Fifo, ThrottlePolicy::Dyncta)
-    }
-
-    pub const fn lcs() -> Self {
-        Policy::new(ArbPolicy::Fifo, ThrottlePolicy::Lcs)
-    }
-
-    pub const fn dynmg() -> Self {
-        Policy::new(ArbPolicy::Fifo, ThrottlePolicy::DynMg)
-    }
-
-    pub const fn cobrra() -> Self {
-        Policy::new(ArbPolicy::Cobrra, ThrottlePolicy::None)
-    }
-
-    pub const fn dynmg_b() -> Self {
-        Policy::new(ArbPolicy::Balanced, ThrottlePolicy::DynMg)
-    }
-
-    pub const fn dynmg_ma() -> Self {
-        Policy::new(ArbPolicy::MshrAware, ThrottlePolicy::DynMg)
-    }
-
-    /// The paper's final policy.
-    pub const fn dynmg_bma() -> Self {
-        Policy::new(ArbPolicy::BalancedMshrAware, ThrottlePolicy::DynMg)
-    }
-
-    pub const fn dynmg_cobrra() -> Self {
-        Policy::new(ArbPolicy::Cobrra, ThrottlePolicy::DynMg)
-    }
-
-    /// The open-world spec this pair stands for.
-    pub fn spec(&self) -> PolicySpec {
-        PolicySpec::new(self.arb.spec(), self.throttle.spec())
-    }
-
-    /// Figure-style label, e.g. "dynmg+BMA".
-    pub fn label(&self) -> String {
-        self.spec().label()
-    }
-}
-
-impl From<Policy> for PolicySpec {
-    fn from(p: Policy) -> PolicySpec {
-        p.spec()
-    }
-}
 
 /// A failed experiment setup or run (degenerate inputs are rejected
 /// with explicit errors rather than producing silent nonsense).
@@ -319,11 +136,6 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Preset shim: the paper's Logit operator for one model shape.
-    pub fn new(model: Model, seq_len: usize) -> Self {
-        Experiment::with_workload(model.workload(seq_len))
-    }
-
     /// An experiment over any [`Workload`] on the Table 5 machine.
     pub fn with_workload(workload: Arc<dyn Workload>) -> Self {
         let config = SystemConfig::table5();
@@ -576,10 +388,9 @@ impl Experiment {
 
     /// Runs the experiment to completion, rejecting degenerate inputs.
     ///
-    /// The system is built over the closed-world policy enums
+    /// The system is built over the registry's policy enums
     /// (`System<ArbiterKind, ThrottleKind>`), so the whole tick loop
-    /// monomorphizes — the `Box<dyn ...>` construction path survives
-    /// only for callers wiring policies outside the registry.
+    /// monomorphizes.
     pub fn try_run(&self) -> Result<RunReport, ExperimentError> {
         let (mut system, budget) = self.build_system(&self.policy)?;
         let (stats, outcome) = system.run_with_mode(budget, self.step_mode);
@@ -955,16 +766,17 @@ pub fn geomean(xs: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llamcat_trace::workloads::{AttnOutputWorkload, PrefillLogitWorkload};
+    use llamcat_trace::workload::LogitOp;
+    use llamcat_trace::workloads::{AttnOutputWorkload, LogitWorkload, PrefillLogitWorkload};
 
     #[test]
     fn policy_labels_match_figures() {
-        assert_eq!(Policy::unoptimized().label(), "unoptimized");
-        assert_eq!(Policy::dynmg().label(), "dynmg");
-        assert_eq!(Policy::dynmg_bma().label(), "dynmg+BMA");
-        assert_eq!(Policy::dynmg_cobrra().label(), "dynmg+cobrra");
-        assert_eq!(Policy::cobrra().label(), "cobrra");
-        assert_eq!(Policy::lcs().label(), "lcs");
+        assert_eq!(PolicySpec::unoptimized().label(), "unoptimized");
+        assert_eq!(PolicySpec::dynmg().label(), "dynmg");
+        assert_eq!(PolicySpec::dynmg_bma().label(), "dynmg+BMA");
+        assert_eq!(PolicySpec::dynmg_cobrra().label(), "dynmg+cobrra");
+        assert_eq!(PolicySpec::cobrra().label(), "cobrra");
+        assert_eq!(PolicySpec::lcs().label(), "lcs");
     }
 
     #[test]
@@ -976,7 +788,7 @@ mod tests {
 
     #[test]
     fn tiny_experiment_completes() {
-        let report = Experiment::new(Model::Llama3_70b, 128).run();
+        let report = Experiment::from_spec(&WorkloadSpec::llama3_70b(), 128).run();
         assert!(report.completed, "tiny workload must finish");
         assert!(report.cycles > 0);
         assert!(report.dram_accesses > 0);
@@ -993,7 +805,7 @@ mod tests {
             head_dim: 128,
         };
         let av = Experiment::with_workload(Arc::new(AttnOutputWorkload::new(op)))
-            .policy(Policy::dynmg_bma())
+            .policy(PolicySpec::dynmg_bma())
             .run();
         assert!(av.completed);
         assert_eq!(av.workload_label, "attn-out h2 g4 d128");
@@ -1005,9 +817,9 @@ mod tests {
 
     #[test]
     fn policies_produce_different_machines_but_same_work() {
-        let base = Experiment::new(Model::Llama3_70b, 128);
-        let a = base.clone().policy(Policy::unoptimized()).run();
-        let b = base.policy(Policy::dynmg_bma()).run();
+        let base = Experiment::from_spec(&WorkloadSpec::llama3_70b(), 128);
+        let a = base.clone().policy(PolicySpec::unoptimized()).run();
+        let b = base.policy(PolicySpec::dynmg_bma()).run();
         assert!(a.completed && b.completed);
         // Same trace: store traffic identical (reads may differ by reuse).
         let sa = a.stats.as_ref().unwrap();
@@ -1018,15 +830,15 @@ mod tests {
 
     #[test]
     fn l2_size_override() {
-        let e = Experiment::new(Model::Llama3_70b, 128).l2_mb(32);
+        let e = Experiment::from_spec(&WorkloadSpec::llama3_70b(), 128).l2_mb(32);
         assert_eq!(e.config.l2.capacity_bytes, 32 * 1024 * 1024);
     }
 
     #[test]
     fn run_is_deterministic() {
         let mk = || {
-            Experiment::new(Model::Llama3_405b, 128)
-                .policy(Policy::dynmg_bma())
+            Experiment::from_spec(&WorkloadSpec::llama3_405b(), 128)
+                .policy(PolicySpec::dynmg_bma())
                 .run()
         };
         let a = mk();
@@ -1038,7 +850,7 @@ mod tests {
     #[test]
     fn degenerate_inputs_are_rejected() {
         // Zero-cycle budget.
-        let err = Experiment::new(Model::Llama3_70b, 128)
+        let err = Experiment::from_spec(&WorkloadSpec::llama3_70b(), 128)
             .max_cycles(0)
             .try_run()
             .unwrap_err();
@@ -1057,7 +869,7 @@ mod tests {
         assert!(matches!(err, ExperimentError::InvalidWorkload(_)));
 
         // l_tile not dividing seq_len.
-        let mut e = Experiment::new(Model::Llama3_70b, 128);
+        let mut e = Experiment::from_spec(&WorkloadSpec::llama3_70b(), 128);
         e.l_tile = 48;
         assert!(matches!(
             e.try_run().unwrap_err(),
@@ -1067,7 +879,7 @@ mod tests {
 
     #[test]
     fn solo_runs_report_one_request() {
-        let report = Experiment::new(Model::Llama3_70b, 128).run();
+        let report = Experiment::from_spec(&WorkloadSpec::llama3_70b(), 128).run();
         assert_eq!(report.requests.len(), 1);
         let r = &report.requests[0];
         assert!(r.completed);
@@ -1169,7 +981,7 @@ mod tests {
         .scheduler(ServePolicySpec::ContinuousBatching { slots: 2 });
         let exp = Experiment::from_serve_spec(&spec)
             .unwrap()
-            .policy(Policy::dynmg_bma());
+            .policy(PolicySpec::dynmg_bma());
         let cycle = exp.clone().step_mode(StepMode::Cycle).run();
         let skip = exp.step_mode(StepMode::Skip).run();
         assert!(cycle.completed);
@@ -1263,8 +1075,8 @@ mod tests {
 
     #[test]
     fn kv_tier_attaches_reports_counters_and_matches_modes() {
-        let base = Experiment::new(Model::Llama3_70b, 128)
-            .policy(Policy::dynmg_bma())
+        let base = Experiment::from_spec(&WorkloadSpec::llama3_70b(), 128)
+            .policy(PolicySpec::dynmg_bma())
             .kv(KvSpec::lru(16));
         let cycle = base.clone().step_mode(StepMode::Cycle).run();
         let skip = base.step_mode(StepMode::Skip).run();
@@ -1285,13 +1097,13 @@ mod tests {
         assert_eq!(cycle.kv, skip.kv);
         assert_eq!(cycle.requests, skip.requests);
         // The tier slows the run relative to an all-warm machine.
-        let no_tier = Experiment::new(Model::Llama3_70b, 128)
-            .policy(Policy::dynmg_bma())
+        let no_tier = Experiment::from_spec(&WorkloadSpec::llama3_70b(), 128)
+            .policy(PolicySpec::dynmg_bma())
             .run();
         assert!(cycle.cycles > no_tier.cycles, "promotions cost cycles");
 
         // Degenerate tiers are rejected gracefully.
-        let err = Experiment::new(Model::Llama3_70b, 128)
+        let err = Experiment::from_spec(&WorkloadSpec::llama3_70b(), 128)
             .kv(KvSpec::lru(0))
             .try_run()
             .unwrap_err();
@@ -1300,7 +1112,7 @@ mod tests {
 
     #[test]
     fn zero_cycle_speedup_is_an_error() {
-        let a = Experiment::new(Model::Llama3_70b, 128).run();
+        let a = Experiment::from_spec(&WorkloadSpec::llama3_70b(), 128).run();
         let mut b = a.clone();
         b.cycles = 0;
         assert!(a.try_speedup_over(&b).is_err());

@@ -34,11 +34,14 @@
 //! ## Quick start
 //!
 //! ```
-//! use llamcat::experiment::{Experiment, Model, Policy};
+//! use llamcat::experiment::Experiment;
+//! use llamcat::spec::PolicySpec;
+//! use llamcat_trace::workloads::WorkloadSpec;
 //!
-//! let unopt = Experiment::new(Model::Llama3_70b, 256).run();
-//! let ours = Experiment::new(Model::Llama3_70b, 256)
-//!     .policy(Policy::dynmg_bma())
+//! let model = WorkloadSpec::llama3_70b();
+//! let unopt = Experiment::from_spec(&model, 256).run();
+//! let ours = Experiment::from_spec(&model, 256)
+//!     .policy(PolicySpec::dynmg_bma())
 //!     .run();
 //! assert!(unopt.completed && ours.completed);
 //! println!("speedup: {:.2}x", ours.speedup_over(&unopt));
@@ -57,10 +60,7 @@ pub mod prelude {
         PrefixAwareArbiter, SentReqs, TieBreak,
     };
     pub use crate::area::{arbiter_area, hit_buffer_area, AreaConstants, AreaReport};
-    pub use crate::experiment::{
-        geomean, ArbPolicy, Experiment, ExperimentError, Layout, Model, Policy, RunReport,
-        ThrottlePolicy,
-    };
+    pub use crate::experiment::{geomean, Experiment, ExperimentError, Layout, RunReport};
     pub use crate::spec::{ArbSpec, KvSpec, PolicySpec, ThrottleSpec};
     pub use crate::throttle::{Contention, DynMg, DynMgConfig, Dyncta, DynctaConfig, Lcs};
 }

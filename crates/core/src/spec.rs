@@ -1,31 +1,27 @@
 //! Policies as data: the serde-round-trippable [`PolicySpec`] and the
 //! registry of canonical policy names.
 //!
-//! The seed API kept policy construction closed: `ArbPolicy` /
-//! `ThrottlePolicy` hid their `build()` methods, and DynMg tuning
-//! leaked in through `LLAMCAT_DYNMG_*` environment variables. This
-//! module makes the policy layer open and declarative:
-//!
 //! * [`ArbSpec`] / [`ThrottleSpec`] — one variant per policy family,
 //!   with the family's *configuration embedded in the spec* (DynMg's
 //!   Tables 1–4 parameters, DYNCTA's thresholds). A spec serializes to
 //!   JSON and back losslessly, so policies and their parameters travel
 //!   as data — through campaign files, over the wire, into JSONL logs.
+//!   [`ArbSpec::build_kind`] / [`ThrottleSpec::build_kind`] instantiate
+//!   them as the [`ArbiterKind`] / [`ThrottleKind`] enums the
+//!   simulator runs.
 //! * [`PolicySpec`] — an (arbitration, throttling) pair with the
-//!   paper's figure labels, public factories for every named point, and
-//!   [`PolicySpec::build_arbiter`] / [`PolicySpec::build_throttle`] as
-//!   the *only* construction path the experiment layer uses.
+//!   paper's figure labels and public factories for every named point.
 //! * [`PolicySpec::registry_names`] / [`PolicySpec::from_name`] — the
 //!   stable-name registry ("dynmg+BMA", "cobrra", …) mapping the labels
 //!   pinned by the paper's figures (and `tests/golden.rs`) to specs
 //!   with default configurations. Compositional names assemble the rest
 //!   of the 5 × 4 matrix: `"<throttle>+<arb>"`, e.g. `"dyncta+B"`.
 //!
-//! The `LLAMCAT_DYNMG_PERIOD` / `LLAMCAT_DYNMG_SUB` environment
-//! variables are gone: embed a [`DynMgConfig`] via
-//! [`PolicySpec::dynmg_with`] instead.
+//! A policy outside the registry needs no spec: any `RequestArbiter` /
+//! `ThrottleController` type plugs into `llamcat_sim::system::System`
+//! directly.
 
-use llamcat_sim::arb::{FifoArbiter, NoThrottle, RequestArbiter, ThrottleController};
+use llamcat_sim::arb::{FifoArbiter, NoThrottle};
 use llamcat_sim::kv::{KvEviction, KvTierConfig};
 use llamcat_sim::serve::ServePolicy;
 use llamcat_sim::types::Cycle;
@@ -67,19 +63,6 @@ impl ArbSpec {
             ArbSpec::BalancedMshrAware => "BMA",
             ArbSpec::Cobrra => "cobrra",
             ArbSpec::PrefixAware => "PFA",
-        }
-    }
-
-    /// Instantiates the arbiter for one LLC slice (type-erased; the
-    /// hot path uses [`ArbSpec::build_kind`]).
-    pub fn build(&self) -> Box<dyn RequestArbiter> {
-        match self {
-            ArbSpec::Fifo => Box::new(FifoArbiter),
-            ArbSpec::Balanced => Box::new(BalancedArbiter),
-            ArbSpec::MshrAware => Box::new(MshrAwareArbiter::ma()),
-            ArbSpec::BalancedMshrAware => Box::new(MshrAwareArbiter::bma()),
-            ArbSpec::Cobrra => Box::new(CobrraArbiter::new()),
-            ArbSpec::PrefixAware => Box::new(PrefixAwareArbiter),
         }
     }
 
@@ -146,17 +129,6 @@ impl ThrottleSpec {
             ThrottleSpec::Dyncta { .. } => "dyncta",
             ThrottleSpec::Lcs => "lcs",
             ThrottleSpec::DynMg { .. } => "dynmg",
-        }
-    }
-
-    /// Instantiates the throttle controller (type-erased; the hot path
-    /// uses [`ThrottleSpec::build_kind`]).
-    pub fn build(&self) -> Box<dyn ThrottleController> {
-        match self {
-            ThrottleSpec::None => Box::new(NoThrottle),
-            ThrottleSpec::Dyncta { config } => Box::new(Dyncta::new(*config)),
-            ThrottleSpec::Lcs => Box::new(Lcs::new()),
-            ThrottleSpec::DynMg { config } => Box::new(DynMg::new(config.clone())),
         }
     }
 
@@ -276,6 +248,32 @@ impl PolicySpec {
         REGISTRY.iter().map(|(name, _)| *name).collect()
     }
 
+    /// The paper's 5 × 4 arbitration × throttling matrix with default
+    /// configurations (the cells `tests/golden.rs` pins), arbitration
+    /// outermost.
+    pub fn matrix() -> Vec<PolicySpec> {
+        let arbs = [
+            ArbSpec::Fifo,
+            ArbSpec::Balanced,
+            ArbSpec::MshrAware,
+            ArbSpec::BalancedMshrAware,
+            ArbSpec::Cobrra,
+        ];
+        let throttles = [
+            ThrottleSpec::None,
+            ThrottleSpec::dyncta(),
+            ThrottleSpec::Lcs,
+            ThrottleSpec::dynmg(),
+        ];
+        arbs.iter()
+            .flat_map(|a| {
+                throttles
+                    .iter()
+                    .map(|t| PolicySpec::new(a.clone(), t.clone()))
+            })
+            .collect()
+    }
+
     /// Resolves a stable name to a spec with default configurations.
     ///
     /// Canonical registry names resolve first; any other cell of the
@@ -296,22 +294,6 @@ impl PolicySpec {
             return Some(PolicySpec::new(arb, ThrottleSpec::None));
         }
         ThrottleSpec::from_name(name).map(|thr| PolicySpec::new(ArbSpec::Fifo, thr))
-    }
-
-    /// Instantiates the arbiter for one LLC slice.
-    pub fn build_arbiter(&self) -> Box<dyn RequestArbiter> {
-        self.arb.build()
-    }
-
-    /// Instantiates the throttle controller.
-    pub fn build_throttle(&self) -> Box<dyn ThrottleController> {
-        self.throttle.build()
-    }
-
-    /// Instantiates both policies as closed-world enums for the
-    /// monomorphized `System<ArbiterKind, ThrottleKind>` hot path.
-    pub fn build_kinds(&self) -> (ArbiterKind, ThrottleKind) {
-        (self.arb.build_kind(), self.throttle.build_kind())
     }
 }
 
@@ -801,6 +783,7 @@ impl ServeSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use llamcat_sim::arb::RequestArbiter;
 
     #[test]
     fn registry_names_round_trip_their_labels() {
@@ -829,6 +812,14 @@ mod tests {
         assert_eq!(PolicySpec::from_name("lcs"), Some(PolicySpec::lcs()));
         assert_eq!(PolicySpec::from_name("nonsense"), None);
         assert_eq!(PolicySpec::from_name("dynmg+nope"), None);
+
+        // Every matrix cell is reachable by its compositional name.
+        let matrix = PolicySpec::matrix();
+        assert_eq!(matrix.len(), 20);
+        for cell in matrix {
+            let name = format!("{}+{}", cell.throttle.label(), cell.arb.label());
+            assert_eq!(PolicySpec::from_name(&name), Some(cell), "`{name}`");
+        }
     }
 
     #[test]

@@ -32,13 +32,13 @@ pub struct DynctaConfig {
 
 impl Default for DynctaConfig {
     fn default() -> Self {
-        // PACT'13-style operating point: long adjustment period and a
-        // narrow high/low band near the top of the range, which makes
-        // the controller cautious — it oscillates around a moderate
-        // block count rather than driving to the minimum. This mirrors
-        // the behaviour the paper reports for DYNCTA on these workloads
-        // ("MSHR entry utilization remains almost unchanged"); the
-        // `table_sweeps` bench explores the alternatives.
+        // PACT'13-style operating point: a long adjustment period and
+        // a high/low band near the top of the range. In practice it is
+        // inert: lowering a limit needs ΔC_mem above `mem_high`, 8028
+        // of the 8192-cycle period (98% memory stall), which the
+        // evaluated workloads never reach. No limit ever drops, and
+        // all 12 fig7 points run the same cycles as no throttling
+        // (ROADMAP item 1; re-sweeping these defaults is item 1(b)).
         DynctaConfig {
             period: 8192,
             idle_threshold: 64,

@@ -5,6 +5,12 @@
 //! balanced/MSHR-aware arbitration and two-level dynamic multi-gear
 //! throttling — and the published baselines (DYNCTA, LCS, COBRRA) are
 //! implemented in the `llamcat` crate on top of these interfaces.
+//!
+//! The policy types are type parameters of [`crate::system::System`]
+//! and [`crate::llc::LlcSlice`], so a policy outside that crate's
+//! registry is simply another implementation of these traits. One that
+//! is also `Clone` supports snapshot and fork
+//! ([`crate::system::System::snapshot`]).
 
 use crate::mshr::MshrSnapshot;
 use crate::pool::{ReqHandle, ReqPool};
@@ -155,83 +161,6 @@ pub trait RequestArbiter {
     fn name(&self) -> &'static str;
 }
 
-/// Object-safe cloning hook for type-erased arbiters.
-///
-/// `Box<dyn RequestArbiter>` cannot be `Clone` (plain trait objects
-/// carry no clone entry), which would lock open-world policies out of
-/// the snapshot/fork layer ([`crate::system::System::snapshot`]).
-/// Boxing as `Box<dyn CloneArbiter>` instead keeps type erasure *and*
-/// deep-copy support: the blanket impl covers every `Clone` arbiter, so
-/// no policy opts in manually.
-pub trait CloneArbiter: RequestArbiter {
-    /// Deep-copies the arbiter behind the reference.
-    fn clone_box(&self) -> Box<dyn CloneArbiter>;
-}
-
-impl<A: RequestArbiter + Clone + 'static> CloneArbiter for A {
-    fn clone_box(&self) -> Box<dyn CloneArbiter> {
-        Box::new(self.clone())
-    }
-}
-
-impl Clone for Box<dyn CloneArbiter> {
-    fn clone(&self) -> Self {
-        (**self).clone_box()
-    }
-}
-
-/// Forwarding impl so boxed (type-erased) arbiters plug into the
-/// monomorphized [`crate::llc::LlcSlice`]/[`crate::system::System`]
-/// generics: `Box<dyn RequestArbiter>` remains the open-world default,
-/// while closed-world callers (the experiment layer's enum dispatch)
-/// pay no virtual calls on the per-tick path.
-impl<A: RequestArbiter + ?Sized> RequestArbiter for Box<A> {
-    fn select(&mut self, ctx: &ArbiterCtx<'_>) -> Option<usize> {
-        (**self).select(ctx)
-    }
-
-    fn note_hit(&mut self, line_addr: u64) {
-        (**self).note_hit(line_addr);
-    }
-
-    fn note_fill(&mut self, line_addr: u64) {
-        (**self).note_fill(line_addr);
-    }
-
-    fn tick(&mut self) {
-        (**self).tick();
-    }
-
-    fn reset(&mut self) {
-        (**self).reset();
-    }
-
-    fn wants_mshr_snapshot(&self) -> bool {
-        (**self).wants_mshr_snapshot()
-    }
-
-    fn port_preference(
-        &mut self,
-        req_q_len: usize,
-        resp_q_len: usize,
-        resp_q_cap: usize,
-    ) -> Option<PortPreference> {
-        (**self).port_preference(req_q_len, resp_q_len, resp_q_cap)
-    }
-
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        (**self).next_event(now)
-    }
-
-    fn skip(&mut self, cycles: u64) {
-        (**self).skip(cycles);
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-}
-
 /// Default arbitration: first-come, first-served.
 #[derive(Debug, Default, Clone)]
 pub struct FifoArbiter;
@@ -310,46 +239,6 @@ pub trait ThrottleController {
     }
 
     fn name(&self) -> &'static str;
-}
-
-/// Cloning hook for type-erased throttle controllers (the
-/// [`CloneArbiter`] counterpart).
-pub trait CloneThrottle: ThrottleController {
-    /// Deep-copies the controller behind the reference.
-    fn clone_box(&self) -> Box<dyn CloneThrottle>;
-}
-
-impl<T: ThrottleController + Clone + 'static> CloneThrottle for T {
-    fn clone_box(&self) -> Box<dyn CloneThrottle> {
-        Box::new(self.clone())
-    }
-}
-
-impl Clone for Box<dyn CloneThrottle> {
-    fn clone(&self) -> Self {
-        (**self).clone_box()
-    }
-}
-
-/// Forwarding impl mirroring the [`RequestArbiter`] one: keeps
-/// `Box<dyn ThrottleController>` working as the open-world default for
-/// the generic [`crate::system::System`].
-impl<T: ThrottleController + ?Sized> ThrottleController for Box<T> {
-    fn tick(&mut self, inputs: &ThrottleInputs<'_>, max_tb: &mut [usize]) {
-        (**self).tick(inputs, max_tb);
-    }
-
-    fn reset(&mut self, num_cores: usize) {
-        (**self).reset(num_cores);
-    }
-
-    fn next_event(&self, now: Cycle) -> Option<Cycle> {
-        (**self).next_event(now)
-    }
-
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
 }
 
 /// Default: no throttling (all windows usable).

@@ -45,12 +45,7 @@
 //!     .collect();
 //! let cfg = SystemConfig::table5();
 //! let program = Program::round_robin(blocks, cfg.num_cores);
-//! let mut system = System::new(
-//!     cfg,
-//!     program,
-//!     &|_slice| Box::new(FifoArbiter) as Box<dyn RequestArbiter>,
-//!     Box::new(NoThrottle),
-//! );
+//! let mut system = System::new(cfg, program, &|_slice| FifoArbiter, NoThrottle);
 //! let (stats, outcome) = system.run(1_000_000);
 //! assert_eq!(outcome, RunOutcome::Completed);
 //! assert!(stats.cycles > 0);

@@ -20,9 +20,8 @@
 //! request lives in the [`ReqPool`] arena from core issue to
 //! hit/MSHR-resolution, and every queue here (`ingress`, `req_q`, the
 //! tag and MSHR pipes) moves only its 4-byte [`ReqHandle`]. The slice
-//! is generic over its arbiter so the closed-world policy set
-//! monomorphizes (no virtual dispatch per tick); `Box<dyn
-//! RequestArbiter>` remains the default for open-world callers.
+//! is generic over its arbiter, so the policy monomorphizes (no
+//! virtual dispatch per tick).
 
 use std::collections::VecDeque;
 
@@ -72,7 +71,7 @@ enum StallKind {
 
 /// One slice of the shared L2.
 #[derive(Clone)]
-pub struct LlcSlice<A: RequestArbiter = Box<dyn RequestArbiter>> {
+pub struct LlcSlice<A: RequestArbiter> {
     id: SliceId,
     cfg: L2Config,
     storage: SetAssocCache,

@@ -75,15 +75,16 @@ pub enum StepMode {
 
 /// The simulated machine.
 ///
-/// Generic over its policy types so the experiment layer can
-/// monomorphize the whole tick loop (enum dispatch, zero virtual calls
-/// on the hot path); the defaults keep the seed's open-world
-/// `Box<dyn ...>` API working unchanged for tests and external users.
+/// Generic over its policy types, so the whole tick loop
+/// monomorphizes with zero virtual calls on the hot path. The
+/// experiment layer uses the registry enums (`ArbiterKind`,
+/// `ThrottleKind` in the `llamcat` crate); any other
+/// [`RequestArbiter`] / [`ThrottleController`] plugs in the same way.
 ///
 /// `Clone` is a deep copy of the whole machine — see
 /// [`System::snapshot`] for the supported checkpoint/fork workflow.
 #[derive(Clone)]
-pub struct System<A = Box<dyn RequestArbiter>, T = Box<dyn ThrottleController>>
+pub struct System<A, T>
 where
     A: RequestArbiter,
     T: ThrottleController,
@@ -185,7 +186,7 @@ where
 /// [`System::restore`]; spawn independent continuations with
 /// [`SystemState::fork`].
 #[derive(Clone)]
-pub struct SystemState<A = Box<dyn RequestArbiter>, T = Box<dyn ThrottleController>>
+pub struct SystemState<A, T>
 where
     A: RequestArbiter,
     T: ThrottleController,
@@ -1178,13 +1179,10 @@ mod tests {
         cfg
     }
 
-    fn build(cfg: SystemConfig, program: Program) -> System {
-        System::new(
-            cfg,
-            program,
-            &|_| Box::new(FifoArbiter),
-            Box::new(NoThrottle),
-        )
+    type FifoSystem = System<FifoArbiter, NoThrottle>;
+
+    fn build(cfg: SystemConfig, program: Program) -> FifoSystem {
+        System::new(cfg, program, &|_| FifoArbiter, NoThrottle)
     }
 
     fn streaming_program(num_blocks: usize, loads_per_block: usize, cores: usize) -> Program {
@@ -1400,7 +1398,7 @@ mod tests {
         p: &Program,
         policy: crate::serve::ServePolicy,
         arrivals: Vec<Cycle>,
-    ) -> System {
+    ) -> FifoSystem {
         let inj = RequestInjector::new(
             p,
             arrivals,

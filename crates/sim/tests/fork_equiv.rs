@@ -18,7 +18,7 @@
 
 use proptest::prelude::*;
 
-use llamcat::experiment::{Experiment, Model, Policy, RunReport};
+use llamcat::experiment::{Experiment, RunReport};
 use llamcat::spec::{ArrivalSpec, KvSpec, MixSpec, PolicySpec, ServePolicySpec, ServeSpec};
 use llamcat_sim::arb::{FifoArbiter, NoThrottle};
 use llamcat_sim::config::SystemConfig;
@@ -32,17 +32,6 @@ const BUDGET: u64 = 50_000_000;
 
 fn report_json(report: &RunReport) -> String {
     serde_json::to_string(report).expect("report serializes")
-}
-
-/// The 5 × 4 policy matrix, compositional registry names.
-fn policy_matrix() -> Vec<PolicySpec> {
-    let mut out = Vec::with_capacity(20);
-    for arb in ["fifo", "B", "MA", "BMA", "cobrra"] {
-        for thr in ["none", "dyncta", "lcs", "dynmg"] {
-            out.push(PolicySpec::from_name(&format!("{thr}+{arb}")).expect("matrix name"));
-        }
-    }
-    out
 }
 
 /// Asserts that forking every cell off one snapshot of the shared
@@ -67,10 +56,10 @@ fn assert_forks_match_straight_line(cells: &[Experiment], label: &str) {
 // ---------------------------------------------------------------------
 
 fn matrix_cells(mode: StepMode) -> Vec<Experiment> {
-    policy_matrix()
+    PolicySpec::matrix()
         .into_iter()
         .map(|p| {
-            Experiment::new(Model::Llama3_70b, 128)
+            Experiment::from_spec(&WorkloadSpec::llama3_70b(), 128)
                 .policy(p)
                 .step_mode(mode)
         })
@@ -91,7 +80,7 @@ fn golden_matrix_forked_matches_straight_line_skip_mode() {
 /// same one and each matches its own straight-line run in its own mode.
 #[test]
 fn one_snapshot_forks_into_both_step_modes() {
-    let cells: Vec<Experiment> = policy_matrix()
+    let cells: Vec<Experiment> = PolicySpec::matrix()
         .into_iter()
         .enumerate()
         .map(|(i, p)| {
@@ -100,7 +89,7 @@ fn one_snapshot_forks_into_both_step_modes() {
             } else {
                 StepMode::Skip
             };
-            Experiment::new(Model::Llama3_70b, 128)
+            Experiment::from_spec(&WorkloadSpec::llama3_70b(), 128)
                 .policy(p)
                 .step_mode(mode)
         })
@@ -248,7 +237,7 @@ fn kv_tier_cells_forked_match_straight_line() {
 
 /// The paper's stateful policy pair (BMA + DynMg) on a real trace.
 fn rich_system() -> System<llamcat::arbiter::ArbiterKind, llamcat::throttle::ThrottleKind> {
-    let e = Experiment::new(Model::Llama3_70b, 128).policy(Policy::dynmg_bma());
+    let e = Experiment::from_spec(&WorkloadSpec::llama3_70b(), 128).policy(PolicySpec::dynmg_bma());
     let program = e.build_program();
     let arb = e.policy.arb.clone();
     System::new(

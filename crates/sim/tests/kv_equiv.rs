@@ -57,17 +57,6 @@ fn canonical_kv() -> KvSpec {
     KvSpec::prefix_pin(16)
 }
 
-/// The 5 × 4 policy matrix, compositional registry names.
-fn policy_matrix() -> Vec<PolicySpec> {
-    let mut out = Vec::with_capacity(20);
-    for arb in ["fifo", "B", "MA", "BMA", "cobrra"] {
-        for thr in ["none", "dyncta", "lcs", "dynmg"] {
-            out.push(PolicySpec::from_name(&format!("{thr}+{arb}")).expect("matrix name"));
-        }
-    }
-    out
-}
-
 /// Runs the canonical KV scenario under one policy in both modes and
 /// asserts full observational equivalence: `RunReport` (per-request KV
 /// counters included), `SimStats`, consistency.
@@ -117,7 +106,7 @@ fn assert_kv_mode_equivalent(
 /// matrix (the CI release-mode gate for the KV tier).
 #[test]
 fn canonical_kv_mix_is_mode_equivalent_across_policy_matrix() {
-    for policy in policy_matrix() {
+    for policy in PolicySpec::matrix() {
         assert_kv_mode_equivalent(policy, None);
     }
 }

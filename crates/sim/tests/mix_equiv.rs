@@ -53,17 +53,6 @@ fn canonical_mix() -> MixSpec {
     mix_of(MixSpec::interleaved(), &[decode(128, 0), prefill(128, 0)])
 }
 
-/// The 5 × 4 policy matrix, compositional registry names.
-fn policy_matrix() -> Vec<PolicySpec> {
-    let mut out = Vec::with_capacity(20);
-    for arb in ["fifo", "B", "MA", "BMA", "cobrra"] {
-        for thr in ["none", "dyncta", "lcs", "dynmg"] {
-            out.push(PolicySpec::from_name(&format!("{thr}+{arb}")).expect("matrix name"));
-        }
-    }
-    out
-}
-
 /// Runs one mix cell in both modes and asserts full observational
 /// equivalence: outcome, per-request reports, serialized `SimStats`.
 fn assert_mix_mode_equivalent(mix: &MixSpec, policy: PolicySpec, budget: Option<u64>) {
@@ -102,7 +91,7 @@ fn assert_mix_mode_equivalent(mix: &MixSpec, policy: PolicySpec, budget: Option<
 #[test]
 fn canonical_mix_is_mode_equivalent_across_policy_matrix() {
     let mix = canonical_mix();
-    for policy in policy_matrix() {
+    for policy in PolicySpec::matrix() {
         assert_mix_mode_equivalent(&mix, policy, None);
     }
 }
@@ -232,7 +221,7 @@ fn tagged_program(blocks: &[(u64, u8, u8, u8)], cores: usize, num_requests: u32)
 }
 
 fn run_mode(cfg: SystemConfig, p: Program, mode: StepMode) -> (SimStats, RunOutcome) {
-    let mut sys = System::new(cfg, p, &|_| Box::new(FifoArbiter), Box::new(NoThrottle));
+    let mut sys = System::new(cfg, p, &|_| FifoArbiter, NoThrottle);
     sys.run_with_mode(2_000_000, mode)
 }
 

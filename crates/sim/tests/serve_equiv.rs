@@ -47,17 +47,6 @@ fn canonical_serve() -> ServeSpec {
     .scheduler(ServePolicySpec::ContinuousBatching { slots: 2 })
 }
 
-/// The 5 × 4 policy matrix, compositional registry names.
-fn policy_matrix() -> Vec<PolicySpec> {
-    let mut out = Vec::with_capacity(20);
-    for arb in ["fifo", "B", "MA", "BMA", "cobrra"] {
-        for thr in ["none", "dyncta", "lcs", "dynmg"] {
-            out.push(PolicySpec::from_name(&format!("{thr}+{arb}")).expect("matrix name"));
-        }
-    }
-    out
-}
-
 /// Runs one serve cell in both modes and asserts full observational
 /// equivalence: outcome, per-request latency reports (admission,
 /// rejection, preemption, SLO verdicts), `SimStats`. Returns the
@@ -134,7 +123,7 @@ fn assert_serve_mode_equivalent(
 #[test]
 fn canonical_serve_is_mode_equivalent_across_policy_matrix() {
     let spec = canonical_serve();
-    for policy in policy_matrix() {
+    for policy in PolicySpec::matrix() {
         assert_serve_mode_equivalent(&spec, policy, None);
     }
 }
@@ -216,7 +205,7 @@ fn overload_policies_under_burst_storm_across_policy_matrix() {
         .scheduler(ServePolicySpec::PriorityPreempt { slots: 2 })
         .classes(vec![0, 1, 0, 1])
         .slo(SloSpec::ttft(9_000));
-    for policy in policy_matrix() {
+    for policy in PolicySpec::matrix() {
         // Slots 2, depth 1: the second burst's arrivals find both slots
         // busy and one request already waiting — terminal rejections,
         // under every cache policy.
@@ -429,12 +418,7 @@ fn run_gated(
     budget: u64,
     mode: StepMode,
 ) -> (SimStats, RunOutcome, (u64, u64)) {
-    let mut sys = System::new(
-        small_cfg(cores),
-        p.clone(),
-        &|_| Box::new(FifoArbiter),
-        Box::new(NoThrottle),
-    );
+    let mut sys = System::new(small_cfg(cores), p.clone(), &|_| FifoArbiter, NoThrottle);
     let (stats, outcome) = sys.run_with_mode(budget, mode);
     let counts = sys.step_counts();
     (stats, outcome, counts)
@@ -522,12 +506,7 @@ fn fully_gated_injector_jumps_to_budget() {
             small_cfg(2).core.num_inst_windows,
         )
         .expect("valid injector");
-        let mut sys = System::new(
-            small_cfg(2),
-            p.clone(),
-            &|_| Box::new(FifoArbiter),
-            Box::new(NoThrottle),
-        );
+        let mut sys = System::new(small_cfg(2), p.clone(), &|_| FifoArbiter, NoThrottle);
         sys.attach_injector(injector);
         let (stats, outcome) = sys.run_with_mode(budget, mode);
         let counts = sys.step_counts();
@@ -585,12 +564,7 @@ fn run_open(p: &Program, arrivals: Vec<u64>, policy: ServePolicy, mode: StepMode
     let cfg = small_cfg(2);
     let injector = RequestInjector::new(p, arrivals, policy, 2, cfg.core.num_inst_windows)
         .expect("valid injector");
-    let mut sys = System::new(
-        cfg,
-        p.clone(),
-        &|_| Box::new(FifoArbiter),
-        Box::new(NoThrottle),
-    );
+    let mut sys = System::new(cfg, p.clone(), &|_| FifoArbiter, NoThrottle);
     sys.attach_injector(injector);
     let (stats, outcome) = sys.run_with_mode(5_000_000, mode);
     assert_eq!(outcome, RunOutcome::Completed);

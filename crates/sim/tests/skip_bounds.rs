@@ -131,8 +131,8 @@ fn run_recorded(
     mode: StepMode,
 ) -> (String, bool, Vec<Cycle>) {
     let fired = Rc::new(RefCell::new(Vec::new()));
-    let throttle = Box::new(PeriodicThrottle::new(period, Rc::clone(&fired)));
-    let mut sys = System::new(cfg, program, &|_| Box::new(FifoArbiter), throttle);
+    let throttle = PeriodicThrottle::new(period, Rc::clone(&fired));
+    let mut sys = System::new(cfg, program, &|_| FifoArbiter, throttle);
     let (stats, outcome) = sys.run_with_mode(400_000, mode);
     let boundaries = fired.borrow().clone();
     (

@@ -15,14 +15,17 @@
 
 use proptest::prelude::*;
 
-use llamcat::experiment::{Experiment, Model, Policy};
-use llamcat_sim::arb::{CloneArbiter, CloneThrottle, FifoArbiter, NoThrottle};
+use llamcat::experiment::Experiment;
+use llamcat::spec::PolicySpec;
+use llamcat_sim::arb::{ArbiterCtx, FifoArbiter, NoThrottle, RequestArbiter};
 use llamcat_sim::config::SystemConfig;
 use llamcat_sim::kv::{KvEviction, KvTierConfig};
 use llamcat_sim::prog::{Instr, Program, ThreadBlock};
 use llamcat_sim::serve::{RequestInjector, ServePolicy};
 use llamcat_sim::stats::SimStats;
 use llamcat_sim::system::{RunOutcome, StepMode, System};
+use llamcat_sim::types::Cycle;
+use llamcat_trace::workloads::WorkloadSpec;
 
 const BUDGET: u64 = 50_000_000;
 
@@ -38,7 +41,7 @@ fn stats_json(stats: &SimStats) -> String {
 /// generated trace: both policies carry history that the snapshot must
 /// capture exactly.
 fn rich_system() -> System<llamcat::arbiter::ArbiterKind, llamcat::throttle::ThrottleKind> {
-    let e = Experiment::new(Model::Llama3_70b, 128).policy(Policy::dynmg_bma());
+    let e = Experiment::from_spec(&WorkloadSpec::llama3_70b(), 128).policy(PolicySpec::dynmg_bma());
     let program = e.build_program();
     let arb = e.policy.arb.clone();
     System::new(
@@ -226,28 +229,74 @@ fn open_kv_fork_mid_injection_matches_straight_line() {
 }
 
 // ---------------------------------------------------------------------
-// Type-erased policies stay snapshot-able via the dyn-clone traits.
+// Out-of-registry policies: the type parameter is the extension point.
 // ---------------------------------------------------------------------
 
-#[test]
-fn boxed_clone_policies_snapshot_and_fork() {
-    let p = open_kv_program(2, 2);
-    let make = |_| -> Box<dyn CloneArbiter> { Box::new(FifoArbiter) };
-    let throttle: Box<dyn CloneThrottle> = Box::new(NoThrottle);
-    let mut sys = System::new(small_cfg(2), p.clone(), &make, throttle);
-    let mut reference = System::new(
-        small_cfg(2),
-        p,
-        &make,
-        Box::new(NoThrottle) as Box<dyn CloneThrottle>,
-    );
-    let (stats_ref, _) = reference.run_with_mode(BUDGET, StepMode::Cycle);
+/// A policy defined outside the `llamcat` registry: newest request
+/// first, with every fourth pick going to the oldest so nothing
+/// starves. The pick counter is history a snapshot must carry.
+#[derive(Clone, Default)]
+struct Lifo {
+    picks: u64,
+}
 
-    sys.run_with_mode(stats_ref.cycles / 2, StepMode::Cycle);
-    let mut fork = sys.snapshot().fork();
-    let (stats, outcome) = fork.run_with_mode(BUDGET, StepMode::Cycle);
-    assert_eq!(outcome, RunOutcome::Completed);
-    assert_eq!(stats_json(&stats), stats_json(&stats_ref));
+impl RequestArbiter for Lifo {
+    fn select(&mut self, ctx: &ArbiterCtx<'_>) -> Option<usize> {
+        if ctx.is_empty() {
+            return None;
+        }
+        self.picks += 1;
+        Some(if self.picks.is_multiple_of(4) {
+            0
+        } else {
+            ctx.len() - 1
+        })
+    }
+
+    fn wants_mshr_snapshot(&self) -> bool {
+        false
+    }
+
+    fn next_event(&self, _now: Cycle) -> Option<Cycle> {
+        None // state changes only at `select`, never by ticking
+    }
+
+    fn name(&self) -> &'static str {
+        "lifo"
+    }
+}
+
+#[test]
+fn out_of_registry_policy_snapshots_and_forks() {
+    let e = Experiment::from_spec(&WorkloadSpec::llama3_70b(), 128);
+    let program = e.build_program();
+    let lifo = || System::new(e.config, program.clone(), &|_| Lifo::default(), NoThrottle);
+    let (stats_fifo, _) = System::new(e.config, program.clone(), &|_| FifoArbiter, NoThrottle)
+        .run_with_mode(BUDGET, StepMode::Cycle);
+
+    for mode in [StepMode::Cycle, StepMode::Skip] {
+        let (stats_ref, out_ref) = lifo().run_with_mode(BUDGET, mode);
+        assert_eq!(out_ref, RunOutcome::Completed);
+        let json_ref = stats_json(&stats_ref);
+        assert_ne!(
+            json_ref,
+            stats_json(&stats_fifo),
+            "the local policy must actually arbitrate"
+        );
+        for frac in [1u64, 2, 3] {
+            let t = stats_ref.cycles * frac / 4;
+            let mut sys = lifo();
+            sys.run_with_mode(t, mode);
+            let mut fork = sys.snapshot().fork();
+            let (stats, outcome) = fork.run_with_mode(BUDGET, mode);
+            assert_eq!(outcome, out_ref);
+            assert_eq!(
+                stats_json(&stats),
+                json_ref,
+                "lifo fork@{t} ({mode:?}) diverged from straight line"
+            );
+        }
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -2,7 +2,7 @@
 //! equivalent* to the cycle-accurate `StepMode::Cycle` reference — not
 //! merely "same cycle count" but byte-identical `SimStats` and the same
 //! `RunOutcome` — across the entire policy grid the paper evaluates
-//! (every `ArbPolicy` × `ThrottlePolicy` cell of the golden table) and
+//! (every arbitration × throttling cell of the golden table) and
 //! across cycle-budget boundaries.
 //!
 //! This is the headline guarantee of the fast-forward engine: any
@@ -10,36 +10,23 @@
 //! past a real state change) or whose `skip` accrual diverges from its
 //! per-cycle tick shows up here as a counter mismatch.
 
-use llamcat::experiment::{ArbPolicy, Experiment, Model, Policy, ThrottlePolicy};
-use llamcat_sim::arb::{FifoArbiter, NoThrottle, RequestArbiter};
+use llamcat::experiment::Experiment;
+use llamcat::spec::PolicySpec;
+use llamcat_sim::arb::{FifoArbiter, NoThrottle};
 use llamcat_sim::config::SystemConfig;
 use llamcat_sim::prog::{Instr, Program, ThreadBlock};
 use llamcat_sim::system::{RunOutcome, StepMode, System};
+use llamcat_trace::workloads::WorkloadSpec;
 
-const ARBS: [ArbPolicy; 5] = [
-    ArbPolicy::Fifo,
-    ArbPolicy::Balanced,
-    ArbPolicy::MshrAware,
-    ArbPolicy::BalancedMshrAware,
-    ArbPolicy::Cobrra,
-];
-
-const THROTTLES: [ThrottlePolicy; 4] = [
-    ThrottlePolicy::None,
-    ThrottlePolicy::Dyncta,
-    ThrottlePolicy::Lcs,
-    ThrottlePolicy::DynMg,
-];
-
-fn experiment(policy: Policy, mode: StepMode) -> Experiment {
-    Experiment::new(Model::Llama3_70b, 128)
-        .policy(policy)
+fn experiment(policy: &PolicySpec, mode: StepMode) -> Experiment {
+    Experiment::from_spec(&WorkloadSpec::llama3_70b(), 128)
+        .policy(policy.clone())
         .step_mode(mode)
 }
 
 /// Runs one policy cell in both modes and asserts full observational
 /// equivalence: outcome, serialized report, serialized `SimStats`.
-fn assert_cell_equivalent(policy: Policy, budget: Option<u64>) {
+fn assert_cell_equivalent(policy: &PolicySpec, budget: Option<u64>) {
     let run = |mode| {
         let mut e = experiment(policy, mode);
         e.max_cycles = budget;
@@ -77,10 +64,8 @@ fn assert_cell_equivalent(policy: Policy, budget: Option<u64>) {
 /// step modes.
 #[test]
 fn all_golden_cells_are_mode_equivalent() {
-    for &arb in &ARBS {
-        for &throttle in &THROTTLES {
-            assert_cell_equivalent(Policy::new(arb, throttle), None);
-        }
+    for policy in PolicySpec::matrix() {
+        assert_cell_equivalent(&policy, None);
     }
 }
 
@@ -94,9 +79,9 @@ fn budget_exhaustion_is_mode_equivalent() {
     // Completion cycle of this cell (golden table: 12269 for the
     // unoptimized baseline, but derive it so the test survives
     // intentional golden updates).
-    let completed = experiment(Policy::unoptimized(), StepMode::Cycle).run();
+    let completed = experiment(&PolicySpec::unoptimized(), StepMode::Cycle).run();
     let full = completed.cycles;
-    for policy in [Policy::unoptimized(), Policy::dynmg_bma()] {
+    for policy in [PolicySpec::unoptimized(), PolicySpec::dynmg_bma()] {
         for budget in [
             1,
             2,
@@ -108,11 +93,11 @@ fn budget_exhaustion_is_mode_equivalent() {
             full + 1,
             full + 10_000,
         ] {
-            assert_cell_equivalent(policy, Some(budget));
+            assert_cell_equivalent(&policy, Some(budget));
         }
     }
     // And the budget is a hard ceiling in skip mode.
-    let limited = experiment(Policy::unoptimized(), StepMode::Skip)
+    let limited = experiment(&PolicySpec::unoptimized(), StepMode::Skip)
         .max_cycles(full / 2)
         .run();
     assert!(!limited.completed);
@@ -124,8 +109,8 @@ fn budget_exhaustion_is_mode_equivalent() {
 #[test]
 fn longer_run_is_mode_equivalent() {
     let run = |mode| {
-        Experiment::new(Model::Llama3_405b, 256)
-            .policy(Policy::dynmg_bma())
+        Experiment::from_spec(&WorkloadSpec::llama3_405b(), 256)
+            .policy(PolicySpec::dynmg_bma())
             .step_mode(mode)
             .run()
     };
@@ -159,12 +144,7 @@ fn spent_budget_is_a_no_op_in_both_modes() {
     let program = Program::round_robin(blocks, cfg.num_cores);
     let mut finals = Vec::new();
     for mode in [StepMode::Cycle, StepMode::Skip] {
-        let mut system = System::new(
-            cfg,
-            program.clone(),
-            &|_| Box::new(FifoArbiter) as Box<dyn RequestArbiter>,
-            Box::new(NoThrottle),
-        );
+        let mut system = System::new(cfg, program.clone(), &|_| FifoArbiter, NoThrottle);
         let outcome = system.advance_with_mode(100, mode);
         assert!(matches!(outcome, RunOutcome::CycleLimit { .. }), "{mode:?}");
         assert_eq!(system.cycle(), 100, "{mode:?}");

@@ -1,8 +1,8 @@
 //! Open workload layer: operators as pluggable trait objects.
 //!
 //! The paper evaluates one operator (decode Logit, Q·Kᵀ) on two model
-//! shapes, and the seed API hardcoded that closed world as a two-variant
-//! `Model` enum. This module replaces it with an open one:
+//! shapes ([`WorkloadSpec::llama3_70b`], [`WorkloadSpec::llama3_405b`]).
+//! This module keeps that world open:
 //!
 //! * [`Workload`] — the trait an operator implements to participate in
 //!   experiments: an {H, G, L, D} iteration space plus a per-thread-block
@@ -10,8 +10,7 @@
 //!   enumeration are shared (see [`Layout`] and
 //!   [`crate::tracegen::generate_with`]); only the memory behavior of
 //!   one block is operator-specific.
-//! * [`LogitWorkload`] — the paper's decode Logit operator (the former
-//!   `Model` path).
+//! * [`LogitWorkload`] — the paper's decode Logit operator.
 //! * [`AttnOutputWorkload`] — the attention-output GEMV `A·V`: consumes
 //!   the probabilities the Logit operator produced and streams the V
 //!   cache, with the same GQA sharing structure (the G query heads of a

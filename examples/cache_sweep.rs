@@ -6,21 +6,21 @@
 //! cargo run --release --example cache_sweep [seq_len] [70b|405b]
 //! ```
 
-use llamcat::experiment::Model;
 use llamcat::spec::PolicySpec;
 use llamcat_bench::Campaign;
+use llamcat_trace::workloads::WorkloadSpec;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let seq_len: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(8192);
     let model = match args.get(2).map(|s| s.as_str()) {
-        Some("405b") => Model::Llama3_405b,
-        _ => Model::Llama3_70b,
+        Some("405b") => WorkloadSpec::llama3_405b(),
+        _ => WorkloadSpec::llama3_70b(),
     };
     let sizes = [8u64, 16, 32, 64];
 
     let report = Campaign::new("cache-sweep")
-        .workload(model.spec())
+        .workload(model)
         .seq_lens([seq_len])
         .l2_sizes_mb(sizes)
         .policies([
@@ -32,7 +32,7 @@ fn main() {
         .run()
         .expect("cache sweep campaign");
 
-    println!("L2 capacity sweep, {:?} @ seq {}\n", model, seq_len);
+    println!("L2 capacity sweep, {} @ seq {}\n", model.label(), seq_len);
     print!("{:<16}", "policy");
     for mb in sizes {
         print!("{:>10}", format!("{mb}MB"));

@@ -2,7 +2,7 @@
 //! grows — the situation the paper's introduction motivates (long-context
 //! decoding is KV-cache-bandwidth bound).
 //!
-//! Runs the fused [`GqaDecodeWorkload`] (K and V streamed in one pass,
+//! Runs the fused `GqaDecode` workload (K and V streamed in one pass,
 //! FlashDecoding-style — scores never touch memory), sweeping sequence
 //! length for both model shapes and printing speedups of the
 //! throttling+arbitration ladder over the unoptimized machine.
@@ -11,10 +11,9 @@
 //! cargo run --release --example gqa_decode [max_seq_k]
 //! ```
 
-use std::sync::Arc;
-
-use llamcat::experiment::{geomean, Experiment, Model, Policy};
-use llamcat_trace::workloads::GqaDecodeWorkload;
+use llamcat::experiment::{geomean, Experiment};
+use llamcat::spec::PolicySpec;
+use llamcat_trace::workloads::WorkloadSpec;
 
 fn main() {
     let max_k: usize = std::env::args()
@@ -26,12 +25,17 @@ fn main() {
         .filter(|&&k| k <= max_k)
         .map(|&k| k * 1024)
         .collect();
-    let policies = [Policy::dynmg(), Policy::dynmg_bma()];
+    let policies = [PolicySpec::dynmg(), PolicySpec::dynmg_bma()];
+    let models = [
+        ("llama3 70b (H=8, G=8)", 8),
+        ("llama3 405b (H=8, G=16)", 16),
+    ];
 
-    for model in [Model::Llama3_70b, Model::Llama3_405b] {
-        let label = match model {
-            Model::Llama3_70b => "llama3 70b (H=8, G=8)",
-            Model::Llama3_405b => "llama3 405b (H=8, G=16)",
+    for (label, group_size) in models {
+        let decode = WorkloadSpec::GqaDecode {
+            heads: 8,
+            group_size,
+            head_dim: 128,
         };
         println!("\n=== {label} ===");
         print!("{:<14}", "policy");
@@ -39,16 +43,15 @@ fn main() {
             print!("{:>9}", format!("{}K", s / 1024));
         }
         println!("{:>10}", "geomean");
-        let decode = |s: usize| Arc::new(GqaDecodeWorkload::new(model.op(s)));
         let base: Vec<_> = seqs
             .iter()
-            .map(|&s| Experiment::with_workload(decode(s)).run())
+            .map(|&s| Experiment::from_spec(&decode, s).run())
             .collect();
-        for p in policies {
+        for p in &policies {
             let mut speedups = Vec::new();
             print!("{:<14}", p.label());
             for (i, &s) in seqs.iter().enumerate() {
-                let r = Experiment::with_workload(decode(s)).policy(p).run();
+                let r = Experiment::from_spec(&decode, s).policy(p.clone()).run();
                 let sp = r.speedup_over(&base[i]);
                 speedups.push(sp);
                 print!("{sp:>8.3}x");

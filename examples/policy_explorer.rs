@@ -1,49 +1,35 @@
 //! Policy explorer: run every cell of the arbitration × throttling
 //! matrix on one workload and print the full mechanism table (a
-//! do-it-yourself Fig 8). The matrix is assembled through the open
-//! [`PolicySpec`] component registry rather than hardcoded enums.
+//! do-it-yourself Fig 8). The matrix is [`PolicySpec::matrix`].
 //!
 //! ```text
 //! cargo run --release --example policy_explorer [seq_len] [70b|405b] [l2_mb]
 //! ```
 
-use llamcat::experiment::Model;
-use llamcat::spec::{ArbSpec, PolicySpec, ThrottleSpec};
+use llamcat::spec::PolicySpec;
 use llamcat_bench::Campaign;
+use llamcat_trace::workloads::WorkloadSpec;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let seq_len: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(2048);
     let model = match args.get(2).map(|s| s.as_str()) {
-        Some("405b") => Model::Llama3_405b,
-        _ => Model::Llama3_70b,
+        Some("405b") => WorkloadSpec::llama3_405b(),
+        _ => WorkloadSpec::llama3_70b(),
     };
     let l2_mb: u64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(16);
 
-    // The full 4 × 5 matrix from the component name tables.
-    let throttles = ["none", "dyncta", "lcs", "dynmg"];
-    let arbs = ["fifo", "B", "MA", "BMA", "cobrra"];
-    let policies: Vec<PolicySpec> = throttles
-        .iter()
-        .flat_map(|t| {
-            arbs.iter().map(|a| {
-                PolicySpec::new(
-                    ArbSpec::from_name(a).expect("known arb"),
-                    ThrottleSpec::from_name(t).expect("known throttle"),
-                )
-            })
-        })
-        .collect();
+    let policies = PolicySpec::matrix();
 
     println!(
-        "Exploring {} policies on {:?} seq={} L2={}MB\n",
+        "Exploring {} policies on {} seq={} L2={}MB\n",
         policies.len(),
-        model,
+        model.label(),
         seq_len,
         l2_mb
     );
     let report = Campaign::new("policy-explorer")
-        .workload(model.spec())
+        .workload(model)
         .seq_lens([seq_len])
         .l2_sizes_mb([l2_mb])
         .policies(policies)

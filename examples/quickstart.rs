@@ -7,15 +7,18 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use llamcat::experiment::{Experiment, Model, Policy};
+use llamcat::experiment::Experiment;
+use llamcat::spec::PolicySpec;
+use llamcat_trace::workloads::WorkloadSpec;
 
 fn main() {
     let seq_len = 2048;
     println!("Simulating Llama3 70b Logit (QK^T), seq_len = {seq_len} ...");
 
-    let unopt = Experiment::new(Model::Llama3_70b, seq_len).run();
-    let ours = Experiment::new(Model::Llama3_70b, seq_len)
-        .policy(Policy::dynmg_bma())
+    let model = WorkloadSpec::llama3_70b();
+    let unopt = Experiment::from_spec(&model, seq_len).run();
+    let ours = Experiment::from_spec(&model, seq_len)
+        .policy(PolicySpec::dynmg_bma())
         .run();
 
     for r in [&unopt, &ours] {

@@ -23,11 +23,21 @@ pub use llamcat;
 pub use llamcat_sim as sim;
 pub use llamcat_trace as trace;
 
+/// The README's Rust snippets, compiled as doctests. They are marked
+/// `no_run`: each must build against the current API, but none
+/// simulates anything.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeSnippets;
+
 /// One-line smoke check used by docs and CI: simulates a tiny decode
 /// workload end to end and returns the cycle count.
 pub fn smoke() -> u64 {
-    use llamcat::experiment::{Experiment, Model};
-    Experiment::new(Model::Llama3_70b, 128).run().cycles
+    use llamcat::experiment::Experiment;
+    use llamcat_trace::workloads::WorkloadSpec;
+    Experiment::from_spec(&WorkloadSpec::llama3_70b(), 128)
+        .run()
+        .cycles
 }
 
 #[cfg(test)]

@@ -7,18 +7,18 @@
 //! tests run the same `Experiment` twice and compare the full
 //! `SimStats` and `RunReport` serializations.
 
-use llamcat::experiment::{Experiment, Model, Policy};
-use llamcat::spec::MixSpec;
+use llamcat::experiment::Experiment;
+use llamcat::spec::{MixSpec, PolicySpec};
 use llamcat_sim::system::StepMode;
 use llamcat_trace::workloads::WorkloadSpec;
 
 /// Runs one experiment twice per step mode and asserts byte-identical
 /// results — within each mode (determinism) and across the two modes
 /// (the fast-forward engine's observational-equivalence contract).
-fn assert_deterministic(model: Model, seq_len: usize, policy: Policy) {
+fn assert_deterministic(model: WorkloadSpec, seq_len: usize, policy: PolicySpec) {
     let run = |mode| {
-        Experiment::new(model, seq_len)
-            .policy(policy)
+        Experiment::from_spec(&model, seq_len)
+            .policy(policy.clone())
             .step_mode(mode)
             .run()
     };
@@ -73,30 +73,30 @@ fn assert_deterministic(model: Model, seq_len: usize, policy: Policy) {
 
 #[test]
 fn unoptimized_is_deterministic() {
-    assert_deterministic(Model::Llama3_70b, 256, Policy::unoptimized());
+    assert_deterministic(WorkloadSpec::llama3_70b(), 256, PolicySpec::unoptimized());
 }
 
 #[test]
 fn full_policy_stack_is_deterministic() {
     // dynmg+BMA exercises every mechanism at once: hit buffer,
     // sent_reqs FIFO, MSHR snapshot, two-level throttling.
-    assert_deterministic(Model::Llama3_70b, 256, Policy::dynmg_bma());
+    assert_deterministic(WorkloadSpec::llama3_70b(), 256, PolicySpec::dynmg_bma());
 }
 
 #[test]
 fn baselines_are_deterministic() {
-    assert_deterministic(Model::Llama3_405b, 128, Policy::dyncta());
-    assert_deterministic(Model::Llama3_405b, 128, Policy::dynmg_cobrra());
+    assert_deterministic(WorkloadSpec::llama3_405b(), 128, PolicySpec::dyncta());
+    assert_deterministic(WorkloadSpec::llama3_405b(), 128, PolicySpec::dynmg_cobrra());
 }
 
 /// The mix analogue of [`assert_deterministic`]: identical mix, policy
 /// and step mode ⇒ byte-identical `SimStats` (including the per-request
 /// breakdowns) and `RunReport`, within each mode and across the modes.
-fn assert_mix_deterministic(mix: &MixSpec, policy: Policy) {
+fn assert_mix_deterministic(mix: &MixSpec, policy: PolicySpec) {
     let run = |mode| {
         Experiment::from_mix_spec(mix)
             .expect("valid mix")
-            .policy(policy)
+            .policy(policy.clone())
             .step_mode(mode)
             .run()
     };
@@ -134,8 +134,8 @@ fn interleaved_mix_is_deterministic_in_both_modes() {
             128,
             0,
         );
-    assert_mix_deterministic(&mix, Policy::unoptimized());
-    assert_mix_deterministic(&mix, Policy::dynmg_bma());
+    assert_mix_deterministic(&mix, PolicySpec::unoptimized());
+    assert_mix_deterministic(&mix, PolicySpec::dynmg_bma());
 }
 
 #[test]
@@ -143,5 +143,5 @@ fn staggered_partitioned_mix_is_deterministic_in_both_modes() {
     let mix = MixSpec::partitioned()
         .request(WorkloadSpec::llama3_70b(), 128, 0)
         .request(WorkloadSpec::llama3_70b(), 128, 20_000);
-    assert_mix_deterministic(&mix, Policy::dynmg());
+    assert_mix_deterministic(&mix, PolicySpec::dynmg());
 }

@@ -1,43 +1,32 @@
 //! Cross-crate integration tests: trace generation -> simulation ->
 //! statistics, under every policy combination.
 
-use llamcat::experiment::{ArbPolicy, Experiment, Layout, Model, Policy, ThrottlePolicy};
+use llamcat::experiment::{Experiment, Layout};
+use llamcat::spec::PolicySpec;
 use llamcat_sim::stats::SimStats;
+use llamcat_trace::workload::LogitOp;
+use llamcat_trace::workloads::WorkloadSpec;
 
-fn small(model: Model, policy: Policy) -> Experiment {
-    Experiment::new(model, 256).policy(policy)
+fn small(model: &WorkloadSpec, policy: PolicySpec) -> Experiment {
+    Experiment::from_spec(model, 256).policy(policy)
 }
 
 #[test]
 fn every_policy_combination_completes_and_is_consistent() {
-    for throttle in [
-        ThrottlePolicy::None,
-        ThrottlePolicy::Dyncta,
-        ThrottlePolicy::Lcs,
-        ThrottlePolicy::DynMg,
-    ] {
-        for arb in [
-            ArbPolicy::Fifo,
-            ArbPolicy::Balanced,
-            ArbPolicy::MshrAware,
-            ArbPolicy::BalancedMshrAware,
-            ArbPolicy::Cobrra,
-        ] {
-            let p = Policy::new(arb, throttle);
-            let r = small(Model::Llama3_70b, p).run();
-            assert!(r.completed, "{} must complete", r.policy_label);
-            let stats = r.stats.as_ref().expect("stats present");
-            stats
-                .check_consistency()
-                .unwrap_or_else(|e| panic!("{}: {e}", r.policy_label));
-        }
+    for p in PolicySpec::matrix() {
+        let r = small(&WorkloadSpec::llama3_70b(), p).run();
+        assert!(r.completed, "{} must complete", r.policy_label);
+        let stats = r.stats.as_ref().expect("stats present");
+        stats
+            .check_consistency()
+            .unwrap_or_else(|e| panic!("{}: {e}", r.policy_label));
     }
 }
 
 #[test]
 fn both_models_run() {
-    for model in [Model::Llama3_70b, Model::Llama3_405b] {
-        let r = small(model, Policy::dynmg_bma()).run();
+    for model in [WorkloadSpec::llama3_70b(), WorkloadSpec::llama3_405b()] {
+        let r = small(&model, PolicySpec::dynmg_bma()).run();
         assert!(r.completed);
         assert!(r.dram_accesses > 0);
     }
@@ -54,7 +43,9 @@ fn all_layouts_do_the_same_work() {
         Layout::RoundRobinGInner,
         Layout::RoundRobinLInner,
     ] {
-        let r = Experiment::new(Model::Llama3_70b, 256).layout(layout).run();
+        let r = Experiment::from_spec(&WorkloadSpec::llama3_70b(), 256)
+            .layout(layout)
+            .run();
         assert!(r.completed, "{layout:?}");
         let st = r.stats.as_ref().expect("stats");
         seen.push((loads(st), stores(st)));
@@ -66,8 +57,8 @@ fn all_layouts_do_the_same_work() {
 #[test]
 fn determinism_across_runs() {
     let run = || {
-        Experiment::new(Model::Llama3_405b, 256)
-            .policy(Policy::dynmg_bma())
+        Experiment::from_spec(&WorkloadSpec::llama3_405b(), 256)
+            .policy(PolicySpec::dynmg_bma())
             .run()
     };
     let (a, b) = (run(), run());
@@ -88,7 +79,9 @@ fn l2_capacity_changes_behaviour_monotonically_enough() {
     // more than noise, and DRAM traffic must not increase.
     let mut prev_accesses = u64::MAX;
     for mb in [8, 16, 64] {
-        let r = Experiment::new(Model::Llama3_70b, 1024).l2_mb(mb).run();
+        let r = Experiment::from_spec(&WorkloadSpec::llama3_70b(), 1024)
+            .l2_mb(mb)
+            .run();
         assert!(r.completed);
         assert!(
             r.dram_accesses <= prev_accesses,
@@ -100,8 +93,8 @@ fn l2_capacity_changes_behaviour_monotonically_enough() {
 
 #[test]
 fn dram_traffic_is_bounded_by_workload_extremes() {
-    let r = Experiment::new(Model::Llama3_70b, 512).run();
-    let op = Model::Llama3_70b.op(512);
+    let r = Experiment::from_spec(&WorkloadSpec::llama3_70b(), 512).run();
+    let op = LogitOp::llama3_70b(512);
     let min_lines = op.k_bytes() / 64; // each K line at least once
     let max_lines = (op.max_read_bytes() + op.score_bytes() * 3) / 64;
     assert!(
@@ -118,7 +111,7 @@ fn dram_traffic_is_bounded_by_workload_extremes() {
 
 #[test]
 fn progress_counters_sum_to_served_requests() {
-    let r = Experiment::new(Model::Llama3_70b, 256).run();
+    let r = Experiment::from_spec(&WorkloadSpec::llama3_70b(), 256).run();
     let st = r.stats.as_ref().unwrap();
     let served: u64 = st.progress.iter().sum();
     let lookups: u64 = st.slices.iter().map(|s| s.lookups).sum();
@@ -127,8 +120,8 @@ fn progress_counters_sum_to_served_requests() {
 
 #[test]
 fn speedup_math_is_symmetric() {
-    let a = small(Model::Llama3_70b, Policy::unoptimized()).run();
-    let b = small(Model::Llama3_70b, Policy::dynmg()).run();
+    let a = small(&WorkloadSpec::llama3_70b(), PolicySpec::unoptimized()).run();
+    let b = small(&WorkloadSpec::llama3_70b(), PolicySpec::dynmg()).run();
     let s1 = b.speedup_over(&a);
     let s2 = a.speedup_over(&b);
     assert!((s1 * s2 - 1.0).abs() < 1e-12);
@@ -136,7 +129,7 @@ fn speedup_math_is_symmetric() {
 
 #[test]
 fn experiment_reports_carry_metrics() {
-    let r = small(Model::Llama3_70b, Policy::dynmg_bma()).run();
+    let r = small(&WorkloadSpec::llama3_70b(), PolicySpec::dynmg_bma()).run();
     assert!(r.l2_hit_rate >= 0.0 && r.l2_hit_rate <= 1.0);
     assert!(r.mshr_hit_rate >= 0.0 && r.mshr_hit_rate <= 1.0);
     assert!(r.mshr_entry_util >= 0.0 && r.mshr_entry_util <= 1.0);
@@ -161,12 +154,7 @@ fn trace_file_round_trip_through_simulation() {
     use llamcat_sim::config::SystemConfig;
     use llamcat_sim::system::System;
     let run = |p: llamcat_sim::prog::Program| {
-        let mut sys = System::new(
-            SystemConfig::table5(),
-            p,
-            &|_| Box::new(FifoArbiter),
-            Box::new(NoThrottle),
-        );
+        let mut sys = System::new(SystemConfig::table5(), p, &|_| FifoArbiter, NoThrottle);
         sys.run(100_000_000).0.cycles
     };
     assert_eq!(run(tf.program), run(rt.program));

@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 
-use llamcat::throttle::{Contention, DynMg, DynMgConfig, Dyncta, DynctaConfig, Lcs};
+use llamcat::spec::ThrottleSpec;
+use llamcat::throttle::Contention;
 use llamcat_sim::arb::{ThrottleController, ThrottleInputs};
 use llamcat_sim::cache::{InsertPolicy, SetAssocCache};
 use llamcat_sim::mshr::{MshrFile, MshrOutcome, MshrTarget};
@@ -135,12 +136,8 @@ proptest! {
         stalls in 0u64..2_000_000,
         windows in 1usize..6,
     ) {
-        let controllers: Vec<Box<dyn ThrottleController>> = vec![
-            Box::new(Dyncta::new(DynctaConfig::default())),
-            Box::new(Lcs::new()),
-            Box::new(DynMg::new(DynMgConfig::default())),
-        ];
-        for mut ctl in controllers {
+        for spec in [ThrottleSpec::dyncta(), ThrottleSpec::Lcs, ThrottleSpec::dynmg()] {
+            let mut ctl = spec.build_kind();
             ctl.reset(8);
             let mut max_tb = vec![windows; 8];
             let mut c_mem = seed_mem.clone();

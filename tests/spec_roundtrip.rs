@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 
-use llamcat::experiment::{Experiment, Model, Policy};
+use llamcat::experiment::Experiment;
 use llamcat::spec::{ArbSpec, PolicySpec, ThrottleSpec};
 use llamcat::throttle::{DynMgConfig, DynctaConfig, InCoreConfig};
 use llamcat_trace::workloads::WorkloadSpec;
@@ -100,8 +100,8 @@ proptest! {
 
 #[test]
 fn run_report_round_trips_through_json() {
-    let report = Experiment::new(Model::Llama3_70b, 128)
-        .policy(Policy::dynmg_bma())
+    let report = Experiment::from_spec(&WorkloadSpec::llama3_70b(), 128)
+        .policy(PolicySpec::dynmg_bma())
         .run();
     let json = serde_json::to_string(&report).unwrap();
     let back: llamcat::experiment::RunReport = serde_json::from_str(&json).unwrap();
