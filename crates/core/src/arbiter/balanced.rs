@@ -9,37 +9,14 @@
 
 use llamcat_sim::arb::{ArbiterCtx, RequestArbiter};
 
-/// The policy-B ordering key: least-served core first, FIFO (queue
-/// position) among ties. The single source of truth for both the
-/// standalone B arbiter and BMA tie-breaking.
-#[inline]
-fn balanced_key(ctx: &ArbiterCtx<'_>, i: usize) -> (u64, usize) {
-    (ctx.served[ctx.req(i).core], i)
-}
-
-/// Selects the queue index whose core has minimum served-count among
-/// `candidates`. Shared by the standalone B arbiter and by BMA
-/// tie-breaking.
-pub(crate) fn balanced_pick(ctx: &ArbiterCtx<'_>, candidates: &[usize]) -> Option<usize> {
-    candidates
-        .iter()
-        .copied()
-        .min_by_key(|&i| balanced_key(ctx, i))
-}
-
 /// Policy B: serve cores on an equivalent basis.
 #[derive(Debug, Default, Clone)]
 pub struct BalancedArbiter;
 
 impl RequestArbiter for BalancedArbiter {
     fn select(&mut self, ctx: &ArbiterCtx<'_>) -> Option<usize> {
-        // Direct min over the queue (allocation-free; candidate lists
-        // only exist on the BMA tie-break path).
-        (0..ctx.len()).min_by_key(|&i| balanced_key(ctx, i))
-    }
-
-    fn wants_mshr_snapshot(&self) -> bool {
-        false // progress counters only; never reads ctx.mshr
+        // Least-served core first, FIFO (queue position) among ties.
+        (0..ctx.len()).min_by_key(|&i| (ctx.served[ctx.req(i).core], i))
     }
 
     fn next_event(&self, _now: u64) -> Option<u64> {
@@ -54,7 +31,7 @@ impl RequestArbiter for BalancedArbiter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llamcat_sim::mshr::MshrSnapshot;
+    use llamcat_sim::mshr::MshrFile;
     use llamcat_sim::pool::{ReqHandle, ReqPool};
     use llamcat_sim::types::MemReq;
 
@@ -80,7 +57,7 @@ mod tests {
         queue: &'a [ReqHandle],
         pool: &'a ReqPool,
         served: &'a [u64],
-        snap: &'a MshrSnapshot,
+        snap: &'a MshrFile,
     ) -> ArbiterCtx<'a> {
         ArbiterCtx {
             queue,
@@ -95,7 +72,7 @@ mod tests {
     #[test]
     fn picks_least_served_core() {
         let mut b = BalancedArbiter;
-        let snap = MshrSnapshot::default();
+        let snap = MshrFile::new(1, 1);
         let (pool, queue) = pool_with(&[(0, 0x40), (1, 0x80), (2, 0xc0)]);
         let served = vec![10, 2, 5];
         assert_eq!(b.select(&ctx_with(&queue, &pool, &served, &snap)), Some(1));
@@ -104,7 +81,7 @@ mod tests {
     #[test]
     fn fifo_among_ties() {
         let mut b = BalancedArbiter;
-        let snap = MshrSnapshot::default();
+        let snap = MshrFile::new(1, 1);
         let (pool, queue) = pool_with(&[(2, 0x40), (1, 0x80), (1, 0xc0)]);
         let served = vec![0, 3, 3];
         // served[2]=3 for entry 0, served[1]=3 for entries 1 and 2.
@@ -115,7 +92,7 @@ mod tests {
     #[test]
     fn empty_queue_yields_none() {
         let mut b = BalancedArbiter;
-        let snap = MshrSnapshot::default();
+        let snap = MshrFile::new(1, 1);
         let pool = ReqPool::default();
         assert_eq!(b.select(&ctx_with(&[], &pool, &[0, 0], &snap)), None);
     }

@@ -54,10 +54,6 @@ impl RequestArbiter for CobrraArbiter {
         }
     }
 
-    fn wants_mshr_snapshot(&self) -> bool {
-        false // FIFO selection; blind to MSHR state by design
-    }
-
     fn port_preference(
         &mut self,
         req_q_len: usize,
@@ -109,13 +105,13 @@ impl RequestArbiter for CobrraArbiter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llamcat_sim::mshr::MshrSnapshot;
+    use llamcat_sim::mshr::MshrFile;
     use llamcat_sim::types::MemReq;
 
     #[test]
     fn fifo_request_selection() {
         let mut a = CobrraArbiter::new();
-        let snap = MshrSnapshot::default();
+        let snap = MshrFile::new(1, 1);
         let mut pool = llamcat_sim::pool::ReqPool::default();
         let queue = vec![pool.alloc(MemReq {
             id: 0,

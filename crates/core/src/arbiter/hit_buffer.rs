@@ -12,7 +12,9 @@
 //! index (non-adjacent duplicates are legal, so a plain set is not
 //! enough), keeping lookups O(1) while the observable FIFO semantics —
 //! insertion order, eviction order, adjacent-duplicate coalescing — stay
-//! exactly as before.
+//! exactly as before. A hash-free variant (a branch-free compare over
+//! every entry, like the `sent_reqs` ring) was prototyped and measured
+//! neutral end to end, so the index stays.
 
 use std::collections::VecDeque;
 

@@ -4,7 +4,7 @@
 //!   the smallest progress counter first.
 //! * [`mshr_aware::MshrAwareArbiter`] — policies **MA** / **BMA**:
 //!   prioritize speculated cache hits and MSHR hits using the hit
-//!   buffer, the MSHR snapshot and the `sent_reqs` FIFO.
+//!   buffer, the live MSHR file and the `sent_reqs` ring.
 //! * [`cobrra::CobrraArbiter`] — the COBRRA baseline (adaptive
 //!   request-response arbitration, bypass disabled).
 //! * [`prefix_aware::PrefixAwareArbiter`] — policy **PFA**: deprioritize
@@ -78,11 +78,6 @@ impl RequestArbiter for ArbiterKind {
     #[inline]
     fn reset(&mut self) {
         each_arbiter!(self, a => a.reset())
-    }
-
-    #[inline]
-    fn wants_mshr_snapshot(&self) -> bool {
-        each_arbiter!(self, a => a.wants_mshr_snapshot())
     }
 
     #[inline]

@@ -28,10 +28,6 @@ impl RequestArbiter for PrefixAwareArbiter {
         Some((0..ctx.len()).find(|&i| !ctx.kv_busy_of(i)).unwrap_or(0))
     }
 
-    fn wants_mshr_snapshot(&self) -> bool {
-        false // reads only the KV busy view; never ctx.mshr
-    }
-
     fn next_event(&self, _now: u64) -> Option<u64> {
         None // stateless between selections: ticking is a no-op
     }
@@ -44,7 +40,7 @@ impl RequestArbiter for PrefixAwareArbiter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llamcat_sim::mshr::MshrSnapshot;
+    use llamcat_sim::mshr::MshrFile;
     use llamcat_sim::pool::{ReqHandle, ReqPool};
     use llamcat_sim::types::MemReq;
 
@@ -70,7 +66,7 @@ mod tests {
         queue: &'a [ReqHandle],
         pool: &'a ReqPool,
         kv_busy: &'a [bool],
-        snap: &'a MshrSnapshot,
+        snap: &'a MshrFile,
     ) -> ArbiterCtx<'a> {
         ArbiterCtx {
             queue,
@@ -85,7 +81,7 @@ mod tests {
     #[test]
     fn skips_busy_tenants_oldest_first() {
         let mut a = PrefixAwareArbiter;
-        let snap = MshrSnapshot::default();
+        let snap = MshrFile::new(1, 1);
         let (pool, queue) = pool_with(&[(0, 0, 0x40), (1, 1, 0x80), (2, 2, 0xc0)]);
         // Tenant 0 is mid-promotion: oldest non-busy entry wins.
         let busy = vec![true, false, false];
@@ -95,7 +91,7 @@ mod tests {
     #[test]
     fn all_busy_degrades_to_fifo() {
         let mut a = PrefixAwareArbiter;
-        let snap = MshrSnapshot::default();
+        let snap = MshrFile::new(1, 1);
         let (pool, queue) = pool_with(&[(0, 0, 0x40), (1, 1, 0x80)]);
         let busy = vec![true, true];
         assert_eq!(a.select(&ctx_with(&queue, &pool, &busy, &snap)), Some(0));
@@ -104,7 +100,7 @@ mod tests {
     #[test]
     fn no_kv_tier_is_plain_fifo() {
         let mut a = PrefixAwareArbiter;
-        let snap = MshrSnapshot::default();
+        let snap = MshrFile::new(1, 1);
         let (pool, queue) = pool_with(&[(3, 7, 0x40), (0, 0, 0x80)]);
         // Empty busy view (no tier attached): every tenant reads as idle.
         assert_eq!(a.select(&ctx_with(&queue, &pool, &[], &snap)), Some(0));
@@ -113,7 +109,7 @@ mod tests {
     #[test]
     fn empty_queue_yields_none() {
         let mut a = PrefixAwareArbiter;
-        let snap = MshrSnapshot::default();
+        let snap = MshrFile::new(1, 1);
         let pool = ReqPool::default();
         assert_eq!(a.select(&ctx_with(&[], &pool, &[], &snap)), None);
     }

@@ -1,112 +1,91 @@
 //! The `sent_reqs` FIFO (Section 4.3.1, red in Fig 4/Fig 5).
 //!
-//! A request chosen by the arbiter appears in the MSHR snapshot only
+//! A request chosen by the arbiter appears in the live MSHR file only
 //! after the tag pipeline (hit-latency) and the MSHR lookup
-//! (mshr-latency) complete. During that window the snapshot is stale:
+//! (mshr-latency) complete. During that window the MSHR view is stale:
 //! without compensation the arbiter would double-allocate entries or
 //! miss merge opportunities. `sent_reqs` tracks the in-flight chosen
 //! requests for exactly `hit_latency + mshr_latency` cycles, each tagged
 //! with its `spec_hit_result` bit — speculated cache hits are masked out
 //! when estimating MSHR pressure, since hits never touch the MSHR.
+//!
+//! A slice arbitrates at most once per cycle, so the FIFO is a ring with
+//! one slot per cycle of residency: a choice writes the current cycle's
+//! slot, and each tick clears the slot it moves onto (the one written a
+//! full residency ago). A speculated hit writes [`NO_LINE`], which is
+//! exactly how its bit masks it out. The lookup is then a fixed-size,
+//! branch-free compare over the ring.
 
-use std::collections::VecDeque;
-
+use llamcat_sim::mshr::NO_LINE;
 use llamcat_sim::types::Addr;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct SentEntry {
-    line_addr: Addr,
-    /// The spec_hit_result bit assigned at selection time.
-    spec_hit: bool,
-    /// Cycles remaining before the request is visible in the MSHR
-    /// snapshot (then it retires from this FIFO).
-    remaining: u64,
-}
-
-/// FIFO of recently chosen requests still invisible to the MSHR snapshot.
-#[derive(Debug, Clone)]
+/// Recently chosen requests still invisible in the MSHR file.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SentReqs {
-    entries: VecDeque<SentEntry>,
-    /// Residency: hit-latency + mshr-latency.
-    latency: u64,
+    /// One slot per cycle of residency (hit-latency + mshr-latency);
+    /// [`NO_LINE`] marks an idle cycle or a speculated hit.
+    ring: Vec<Addr>,
+    /// Slot of the current cycle.
+    now: usize,
+    /// Whether this cycle's slot has been written (checks the
+    /// one-choice-per-cycle invariant).
+    pushed: bool,
 }
 
 impl SentReqs {
     pub fn new(hit_latency: u64, mshr_latency: u64) -> Self {
+        let residency = hit_latency + mshr_latency;
+        assert!(residency > 0, "sent_reqs needs a nonzero residency");
         SentReqs {
-            entries: VecDeque::new(),
-            latency: hit_latency + mshr_latency,
+            ring: vec![NO_LINE; residency as usize],
+            now: 0,
+            pushed: false,
         }
     }
 
-    /// Registers a chosen request with its speculated-hit bit.
+    /// Registers this cycle's chosen request with its speculated-hit bit.
     pub fn push(&mut self, line_addr: Addr, spec_hit: bool) {
-        self.entries.push_back(SentEntry {
-            line_addr,
-            spec_hit,
-            remaining: self.latency,
-        });
+        debug_assert!(!self.pushed, "at most one arbitration per cycle");
+        self.pushed = true;
+        self.ring[self.now] = if spec_hit { NO_LINE } else { line_addr };
     }
 
-    /// Ages all entries by one cycle, retiring those whose MSHR state is
-    /// now architecturally visible.
+    /// Ages all entries by one cycle, retiring the one whose MSHR state
+    /// is now architecturally visible.
     pub fn tick(&mut self) {
-        for e in self.entries.iter_mut() {
-            e.remaining -= 1;
-        }
-        while self.entries.front().is_some_and(|e| e.remaining == 0) {
-            self.entries.pop_front();
-        }
+        self.now = if self.now + 1 == self.ring.len() {
+            0
+        } else {
+            self.now + 1
+        };
+        self.ring[self.now] = NO_LINE;
+        self.pushed = false;
     }
 
-    /// Fast-forwards `cycles` consecutive [`SentReqs::tick`]s in closed
-    /// form (for the simulator's idle-cycle-skipping engine). Entries
-    /// age uniformly and retire in FIFO order, so subtracting and
-    /// popping expired fronts is exactly equivalent to `cycles`
-    /// individual ticks with no intervening pushes.
+    /// Fast-forwards `cycles` consecutive [`SentReqs::tick`]s (for the
+    /// simulator's idle-cycle-skipping engine): clears the
+    /// `min(cycles, residency)` slots the clock passes.
     pub fn skip(&mut self, cycles: u64) {
-        if cycles == 0 || self.entries.is_empty() {
-            return;
+        let len = self.ring.len() as u64;
+        for _ in 0..cycles.min(len) {
+            self.tick();
         }
-        for e in self.entries.iter_mut() {
-            e.remaining = e.remaining.saturating_sub(cycles);
-        }
-        while self.entries.front().is_some_and(|e| e.remaining == 0) {
-            self.entries.pop_front();
-        }
+        // Every slot is clear after `len` ticks; the rest moves the clock.
+        self.now = ((self.now as u64 + cycles.saturating_sub(len) % len) % len) as usize;
     }
 
     /// Whether `line_addr` is in flight as a *non-hit* (i.e. will occupy
     /// or merge into an MSHR entry shortly). Used to predict MSHR hits
     /// for requests issued back-to-back to the same line.
     pub fn pending_miss(&self, line_addr: Addr) -> bool {
-        self.entries
+        self.ring
             .iter()
-            .any(|e| e.line_addr == line_addr && !e.spec_hit)
-    }
-
-    /// Number of in-flight non-hit requests to lines *not* yet in the
-    /// snapshot — the hidden claim on free MSHR entries.
-    pub fn hidden_entry_claims(&self, in_snapshot: impl Fn(Addr) -> bool) -> usize {
-        let mut seen = Vec::new();
-        for e in &self.entries {
-            if !e.spec_hit && !in_snapshot(e.line_addr) && !seen.contains(&e.line_addr) {
-                seen.push(e.line_addr);
-            }
-        }
-        seen.len()
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+            .fold(false, |hit, &l| hit | (l == line_addr))
     }
 
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.ring.fill(NO_LINE);
+        self.pushed = false;
     }
 }
 
@@ -124,7 +103,6 @@ mod tests {
         }
         s.tick(); // 8th cycle: retired
         assert!(!s.pending_miss(0x40));
-        assert!(s.is_empty());
     }
 
     #[test]
@@ -132,18 +110,6 @@ mod tests {
         let mut s = SentReqs::new(3, 5);
         s.push(0x40, true);
         assert!(!s.pending_miss(0x40), "hit-tagged entries never claim MSHR");
-        assert_eq!(s.hidden_entry_claims(|_| false), 0);
-    }
-
-    #[test]
-    fn hidden_claims_deduplicate() {
-        let mut s = SentReqs::new(3, 5);
-        s.push(0x40, false);
-        s.push(0x40, false); // merge-to-be
-        s.push(0x80, false);
-        assert_eq!(s.hidden_entry_claims(|_| false), 2);
-        // If the snapshot already shows 0x40, only 0x80 is hidden.
-        assert_eq!(s.hidden_entry_claims(|a| a == 0x40), 1);
     }
 
     #[test]
@@ -155,5 +121,11 @@ mod tests {
         s.tick(); // entry 1 retires (2 cycles), entry 2 has 1 left
         assert!(!s.pending_miss(1));
         assert!(s.pending_miss(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "nonzero residency")]
+    fn zero_residency_is_rejected() {
+        SentReqs::new(0, 0);
     }
 }

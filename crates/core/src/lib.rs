@@ -11,7 +11,7 @@
 //!   arbiter serves the least-served core first
 //!   ([`arbiter::BalancedArbiter`]);
 //! * **MSHR-aware arbitration ("MA" / "BMA")** — a hit buffer,
-//!   `sent_reqs` FIFO and real-time MSHR snapshot let the arbiter
+//!   `sent_reqs` ring and the live MSHR file let the arbiter
 //!   prioritize speculated cache hits and MSHR hits, keeping the miss
 //!   pipeline from stalling ([`arbiter::MshrAwareArbiter`]);
 //! * **Two-level dynamic multi-gear throttling ("dynmg")** — a global

@@ -12,13 +12,13 @@
 //! is also `Clone` supports snapshot and fork
 //! ([`crate::system::System::snapshot`]).
 
-use crate::mshr::MshrSnapshot;
+use crate::mshr::MshrFile;
 use crate::pool::{ReqHandle, ReqPool};
 use crate::types::{Cycle, MemReq};
 
 /// Everything an arbiter may consult when choosing a request
 /// (Fig 4/Fig 5 of the paper: the queue itself, the per-core served
-/// counters, and the real-time MSHR snapshot wire).
+/// counters, and the real-time MSHR wire).
 ///
 /// The request queue is handle-based (see [`crate::pool`]): `queue`
 /// lists the live requests in FIFO order (index 0 is oldest) and
@@ -29,8 +29,10 @@ pub struct ArbiterCtx<'a> {
     pub queue: &'a [ReqHandle],
     /// The arena the handles point into.
     pub pool: &'a ReqPool,
-    /// Real-time MSHR summary for this slice.
-    pub mshr: &'a MshrSnapshot,
+    /// The slice's live MSHR file (the paper's "direct wire"): the
+    /// state after this cycle's fill and MSHR-pipe stages, read in place
+    /// rather than copied.
+    pub mshr: &'a MshrFile,
     /// Requests served per core by this slice since operator start
     /// (the `cnt` registers of Fig 4).
     pub served: &'a [u64],
@@ -90,7 +92,9 @@ pub enum PortPreference {
 ///
 /// `select` is consulted only on cycles where the slice can actually
 /// accept a new request, so a returned index is a commitment: the slice
-/// removes that entry and feeds it to the tag pipeline. Implementations
+/// removes that entry and feeds it to the tag pipeline. It is called at
+/// most once per cycle, before that cycle's [`RequestArbiter::tick`]
+/// (per-cycle speculation state may rely on this). Implementations
 /// keep their own speculation state (hit buffer, sent_reqs) up to date in
 /// the callbacks.
 pub trait RequestArbiter {
@@ -108,16 +112,6 @@ pub trait RequestArbiter {
 
     /// Called at operator start; clears all history.
     fn reset(&mut self) {}
-
-    /// Whether this arbiter reads the MSHR snapshot wire
-    /// ([`ArbiterCtx::mshr`]). When false, the slice skips rebuilding
-    /// the snapshot before `select` and the ctx carries a stale one —
-    /// a pure hot-path optimization for policies that are blind to MSHR
-    /// state (FIFO, B, COBRRA). Implementations returning false must
-    /// never read `ctx.mshr`.
-    fn wants_mshr_snapshot(&self) -> bool {
-        true
-    }
 
     /// Optional dynamic override of the request/response storage-port
     /// arbitration (used by the COBRRA baseline). `None` keeps the
@@ -172,10 +166,6 @@ impl RequestArbiter for FifoArbiter {
         } else {
             Some(0)
         }
-    }
-
-    fn wants_mshr_snapshot(&self) -> bool {
-        false
     }
 
     fn next_event(&self, _now: Cycle) -> Option<Cycle> {
@@ -264,7 +254,6 @@ impl ThrottleController for NoThrottle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mshr::MshrSnapshot;
 
     fn pool_with(reqs: &[(usize, u64)]) -> (ReqPool, Vec<ReqHandle>) {
         let mut pool = ReqPool::default();
@@ -287,7 +276,7 @@ mod tests {
     #[test]
     fn fifo_picks_oldest() {
         let mut a = FifoArbiter;
-        let snap = MshrSnapshot::default();
+        let snap = MshrFile::new(1, 1);
         let (pool, q) = pool_with(&[(1, 0x40), (0, 0x80)]);
         let ctx = ArbiterCtx {
             queue: &q,

@@ -209,13 +209,6 @@ impl L1Cache {
         self.storage.probe(line_addr)
     }
 
-    /// Whether a pending miss for `line_addr` can accept another waiter.
-    pub fn has_target_space(&self, line_addr: Addr) -> bool {
-        self.index
-            .get(&line_addr)
-            .is_some_and(|&slot| self.waiter_len[slot] < self.cfg.miss_targets)
-    }
-
     /// Whether a miss for `line_addr` is pending.
     pub fn miss_pending(&self, line_addr: Addr) -> bool {
         self.index.contains_key(&line_addr)

@@ -81,7 +81,7 @@ pub mod prelude {
         ReqRespPolicy, SystemConfig,
     };
     pub use crate::kv::{KvEviction, KvTier, KvTierConfig, SHARED_KV_BASE};
-    pub use crate::mshr::{MshrSnapshot, SnapshotEntry};
+    pub use crate::mshr::MshrFile;
     pub use crate::pool::{ReqHandle, ReqPool};
     pub use crate::prog::{Instr, Program, TbId, ThreadBlock};
     pub use crate::serve::{RequestInjector, ServePolicy};

@@ -28,7 +28,7 @@ use std::collections::VecDeque;
 use crate::arb::{ArbiterCtx, PortPreference, RequestArbiter};
 use crate::cache::{InsertPolicy, SetAssocCache};
 use crate::config::{L2Config, ReqRespPolicy};
-use crate::mshr::{MshrFile, MshrOutcome, MshrSnapshot, MshrTarget};
+use crate::mshr::{MshrFile, MshrOutcome, MshrTarget};
 use crate::pool::{ReqHandle, ReqPool};
 use crate::stats::{RequestLlcStats, SliceStats};
 use crate::types::{Addr, Cycle, MemResp, SliceId};
@@ -76,7 +76,6 @@ pub struct LlcSlice<A: RequestArbiter> {
     cfg: L2Config,
     storage: SetAssocCache,
     mshr: MshrFile,
-    snapshot: MshrSnapshot,
     arbiter: A,
 
     /// Requests delivered by the NoC but not yet admitted to the request
@@ -138,7 +137,6 @@ impl<A: RequestArbiter> LlcSlice<A> {
             cfg,
             storage: SetAssocCache::new(sets, cfg.associativity, index_shift),
             mshr: MshrFile::new(cfg.mshr_entries, cfg.mshr_targets),
-            snapshot: MshrSnapshot::default(),
             arbiter,
             // Preallocated to their realistic high-water marks so the
             // steady-state tick loop never grows a ring (pinned by
@@ -521,13 +519,10 @@ impl<A: RequestArbiter> LlcSlice<A> {
         if self.req_q.is_empty() {
             return false;
         }
-        if self.arbiter.wants_mshr_snapshot() {
-            self.mshr.snapshot_into(&mut self.snapshot);
-        }
         let ctx = ArbiterCtx {
             queue: &self.req_q,
             pool,
-            mshr: &self.snapshot,
+            mshr: &self.mshr,
             served: &self.served,
             kv_busy: &self.kv_busy,
             cycle: now,

@@ -8,9 +8,11 @@
 //!
 //! A *merge* ("MSHR hit") rides an already-pending DRAM access: its lookup
 //! latency overlaps DRAM latency, which is exactly why the paper's MA
-//! arbitration policy prioritizes predicted MSHR hits. A read-only
-//! [`MshrSnapshot`] of the file is exported to the arbiter every cycle,
-//! modelling the paper's "direct wire connection" (Section 4.3.1).
+//! arbitration policy prioritizes predicted MSHR hits. The arbiter reads
+//! the live file through [`crate::arb::ArbiterCtx::mshr`], modelling the
+//! paper's "direct wire connection" (Section 4.3.1): nothing mutates the
+//! file between the pipeline stages of a cycle and the `select` call, so
+//! no per-cycle copy is needed.
 
 use crate::types::{Addr, CoreId, ReqId};
 
@@ -35,6 +37,10 @@ pub struct MshrTarget {
     pub is_write: bool,
 }
 
+/// Line address that marks a free entry slot. Line addresses are
+/// 64-byte aligned, so no real line ever equals it.
+pub const NO_LINE: Addr = Addr::MAX;
+
 /// The MSHR file of one LLC slice.
 ///
 /// Data-oriented layout: entry metadata lives in small parallel arrays
@@ -46,9 +52,8 @@ pub struct MshrTarget {
 /// which dominated the steady-state tick's allocator traffic).
 #[derive(Debug, Clone)]
 pub struct MshrFile {
-    /// Line address per entry slot (meaningful only where `valid`).
+    /// Line address per entry slot; [`NO_LINE`] marks a free slot.
     lines: Vec<Addr>,
-    valid: Vec<bool>,
     /// Live target count per entry slot.
     target_len: Vec<usize>,
     /// Flat target storage: slot `i` owns `[i * num_targets ..]`.
@@ -66,8 +71,7 @@ impl MshrFile {
             is_write: false,
         };
         MshrFile {
-            lines: vec![0; num_entries],
-            valid: vec![false; num_entries],
+            lines: vec![NO_LINE; num_entries],
             target_len: vec![0; num_entries],
             targets: vec![filler; num_entries * num_targets],
             num_targets,
@@ -75,10 +79,19 @@ impl MshrFile {
         }
     }
 
-    /// Slot holding `line_addr`, if pending.
+    /// Slot holding `line_addr`, if pending. At most one slot holds a
+    /// given line, so a branch-free pass over every slot finds the same
+    /// slot a first-match scan would.
     #[inline]
     fn slot_of(&self, line_addr: Addr) -> Option<usize> {
-        (0..self.lines.len()).find(|&i| self.valid[i] && self.lines[i] == line_addr)
+        debug_assert_ne!(line_addr, NO_LINE, "the free-slot sentinel is not a line");
+        let mut slot = usize::MAX;
+        for (i, &l) in self.lines.iter().enumerate() {
+            if l == line_addr {
+                slot = i; // a select, not a branch: no early exit
+            }
+        }
+        (slot != usize::MAX).then_some(slot)
     }
 
     /// Attempts to register a miss for `line_addr` on behalf of `target`.
@@ -94,10 +107,9 @@ impl MshrFile {
             return MshrOutcome::Merged;
         }
         // Allocate a fresh entry.
-        match self.valid.iter().position(|&v| !v) {
+        match self.lines.iter().position(|&l| l == NO_LINE) {
             Some(slot) => {
                 self.lines[slot] = line_addr;
-                self.valid[slot] = true;
                 self.targets[slot * self.num_targets] = target;
                 self.target_len[slot] = 1;
                 self.occupied += 1;
@@ -113,7 +125,7 @@ impl MshrFile {
     /// matches (e.g. a write-back completion).
     pub fn complete(&mut self, line_addr: Addr) -> Option<&[MshrTarget]> {
         let slot = self.slot_of(line_addr)?;
-        self.valid[slot] = false;
+        self.lines[slot] = NO_LINE;
         self.occupied -= 1;
         let base = slot * self.num_targets;
         Some(&self.targets[base..base + self.target_len[slot]])
@@ -159,59 +171,6 @@ impl MshrFile {
 
     pub fn is_full(&self) -> bool {
         self.occupied == self.lines.len()
-    }
-
-    /// Builds a snapshot for the arbiter "direct wire" (addr + target
-    /// count per live entry).
-    pub fn snapshot_into(&self, snap: &mut MshrSnapshot) {
-        snap.entries.clear();
-        for i in 0..self.lines.len() {
-            if self.valid[i] {
-                snap.entries.push(SnapshotEntry {
-                    line_addr: self.lines[i],
-                    num_targets: self.target_len[i],
-                });
-            }
-        }
-        snap.capacity = self.lines.len();
-        snap.num_targets = self.num_targets;
-    }
-}
-
-/// One row of the arbiter-visible MSHR summary (Fig 5: "addr | num").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SnapshotEntry {
-    pub line_addr: Addr,
-    pub num_targets: usize,
-}
-
-/// Real-time summary of the MSHR passed to the arbiter each cycle.
-#[derive(Debug, Clone, Default)]
-pub struct MshrSnapshot {
-    pub entries: Vec<SnapshotEntry>,
-    /// `numEntry` of the underlying file.
-    pub capacity: usize,
-    /// `numTarget` of the underlying file.
-    pub num_targets: usize,
-}
-
-impl MshrSnapshot {
-    /// Whether the snapshot shows a pending entry for `line_addr`.
-    pub fn contains(&self, line_addr: Addr) -> bool {
-        self.entries.iter().any(|e| e.line_addr == line_addr)
-    }
-
-    /// Target slots still free for `line_addr`, if pending.
-    pub fn free_targets(&self, line_addr: Addr) -> Option<usize> {
-        self.entries
-            .iter()
-            .find(|e| e.line_addr == line_addr)
-            .map(|e| self.num_targets.saturating_sub(e.num_targets))
-    }
-
-    /// Entries still free in the file according to the snapshot.
-    pub fn free_entries(&self) -> usize {
-        self.capacity - self.entries.len()
     }
 }
 
@@ -281,22 +240,6 @@ mod tests {
         assert_eq!(m.free_targets(0x40), Some(2));
         m.register(0x40, t(2));
         assert_eq!(m.free_targets(0x40), Some(1));
-    }
-
-    #[test]
-    fn snapshot_reflects_file() {
-        let mut m = MshrFile::new(3, 4);
-        m.register(0x40, t(1));
-        m.register(0x40, t(2));
-        m.register(0x100, t(3));
-        let mut s = MshrSnapshot::default();
-        m.snapshot_into(&mut s);
-        assert_eq!(s.entries.len(), 2);
-        assert!(s.contains(0x40));
-        assert!(s.contains(0x100));
-        assert!(!s.contains(0x80));
-        assert_eq!(s.free_targets(0x40), Some(2));
-        assert_eq!(s.free_entries(), 1);
     }
 
     #[test]

@@ -166,25 +166,10 @@ impl Noc {
         self.to_core[core].front_at()
     }
 
-    /// Pops every request due for `slice` at `now` into `out`.
-    pub fn drain_reqs(&mut self, slice: SliceId, now: Cycle, out: &mut Vec<ReqHandle>) {
-        while let Some(h) = self.to_slice[slice].pop_due(now) {
-            out.push(h);
-        }
-    }
-
-    /// Pops the next request due for `slice` at `now`, if any (the
-    /// scratch-free drain the system loop uses).
+    /// Pops the next request due for `slice` at `now`, if any.
     #[inline]
     pub fn pop_due_req(&mut self, slice: SliceId, now: Cycle) -> Option<ReqHandle> {
         self.to_slice[slice].pop_due(now)
-    }
-
-    /// Pops every response due for `core` at `now` into `out`.
-    pub fn drain_resps(&mut self, core: usize, now: Cycle, out: &mut Vec<MemResp>) {
-        while let Some(resp) = self.to_core[core].pop_due(now) {
-            out.push(resp);
-        }
     }
 
     /// Pops the next response due for `core` at `now`, if any.
@@ -230,12 +215,9 @@ mod tests {
         let mut noc = Noc::new(cfg_uniform(6), 1, 2);
         let h = req(&mut pool, 42, 0);
         noc.send_req(1, h, 10, &pool);
-        let mut out = Vec::new();
-        noc.drain_reqs(1, 15, &mut out);
-        assert!(out.is_empty());
-        noc.drain_reqs(1, 16, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(pool.get(out[0]).id, 42);
+        assert_eq!(noc.pop_due_req(1, 15), None);
+        let h = noc.pop_due_req(1, 16).expect("due at 16");
+        assert_eq!(pool.get(h).id, 42);
         assert!(noc.is_idle());
     }
 
@@ -247,12 +229,10 @@ mod tests {
             let h = req(&mut pool, id, 0);
             noc.send_req(0, h, at, &pool);
         }
-        let mut out = Vec::new();
-        noc.drain_reqs(0, 100, &mut out);
-        assert_eq!(
-            out.iter().map(|&h| pool.get(h).id).collect::<Vec<_>>(),
-            vec![1, 2, 3]
-        );
+        let ids: Vec<_> = std::iter::from_fn(|| noc.pop_due_req(0, 100))
+            .map(|h| pool.get(h).id)
+            .collect();
+        assert_eq!(ids, vec![1, 2, 3]);
     }
 
     #[test]
@@ -267,13 +247,10 @@ mod tests {
             },
             20,
         );
-        let mut out = Vec::new();
-        noc.drain_resps(0, 100, &mut out);
-        assert!(out.is_empty());
-        noc.drain_resps(1, 24, &mut out);
-        assert!(out.is_empty());
-        noc.drain_resps(1, 25, &mut out);
-        assert_eq!(out.len(), 1);
+        assert_eq!(noc.pop_due_resp(0, 100), None);
+        assert_eq!(noc.pop_due_resp(1, 24), None);
+        assert_eq!(noc.pop_due_resp(1, 25).map(|r| r.id), Some(9));
+        assert!(noc.is_idle());
     }
 
     #[test]
@@ -315,9 +292,9 @@ mod tests {
         noc.send_req(0, far, 0, &pool);
         let near = req(&mut pool, 2, 12);
         noc.send_req(0, near, 0, &pool);
-        let mut out = Vec::new();
-        noc.drain_reqs(0, 1000, &mut out);
-        assert_eq!(out.len(), 2);
-        assert_eq!(pool.get(out[0]).id, 2, "nearer sender arrives first");
+        let first = noc.pop_due_req(0, 1000).expect("two due");
+        assert_eq!(pool.get(first).id, 2, "nearer sender arrives first");
+        assert!(noc.pop_due_req(0, 1000).is_some());
+        assert!(noc.is_idle());
     }
 }

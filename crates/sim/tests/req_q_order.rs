@@ -88,10 +88,6 @@ impl RequestArbiter for RecordingArbiter {
         Some(idx)
     }
 
-    fn wants_mshr_snapshot(&self) -> bool {
-        false
-    }
-
     fn name(&self) -> &'static str {
         "recording"
     }

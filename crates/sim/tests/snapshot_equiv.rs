@@ -253,10 +253,6 @@ impl RequestArbiter for Lifo {
         })
     }
 
-    fn wants_mshr_snapshot(&self) -> bool {
-        false
-    }
-
     fn next_event(&self, _now: Cycle) -> Option<Cycle> {
         None // state changes only at `select`, never by ticking
     }

@@ -76,39 +76,11 @@ pub enum ArrivalSpec {
 }
 
 impl ArrivalSpec {
-    /// Validates the spec for a run of `n` requests.
+    /// Validates the spec for a run of `n` requests: the schedule must
+    /// be computable without overflowing `u64`, and no arrival may land
+    /// on `Cycle::MAX`, which the simulator reads as "never".
     pub fn validate(&self, n: usize) -> Result<(), String> {
-        match self {
-            ArrivalSpec::Fixed { .. } => Ok(()),
-            ArrivalSpec::Poisson { mean_gap, .. } => {
-                if *mean_gap == 0 {
-                    Err("poisson arrival process needs mean_gap >= 1".into())
-                } else {
-                    Ok(())
-                }
-            }
-            ArrivalSpec::Bursty {
-                burst, burst_gap, ..
-            } => {
-                if *burst == 0 {
-                    Err("bursty arrival process needs burst >= 1".into())
-                } else if *burst_gap == 0 {
-                    Err("bursty arrival process needs burst_gap >= 1".into())
-                } else {
-                    Ok(())
-                }
-            }
-            ArrivalSpec::Trace { cycles } => {
-                if cycles.len() < n {
-                    Err(format!(
-                        "arrival trace covers {} requests, run needs {n}",
-                        cycles.len()
-                    ))
-                } else {
-                    Ok(())
-                }
-            }
-        }
+        self.schedule(n).map(|_| ())
     }
 
     /// The arrival cycle of each of `n` requests, sorted nondecreasing.
@@ -116,20 +88,31 @@ impl ArrivalSpec {
     /// Panics on an invalid spec; call [`ArrivalSpec::validate`] first
     /// when the spec came from user input.
     pub fn arrivals(&self, n: usize) -> Vec<Cycle> {
-        self.validate(n).expect("invalid arrival spec");
-        match self {
-            ArrivalSpec::Fixed { period, start } => {
-                (0..n as u64).map(|i| start + i * period).collect()
-            }
+        self.schedule(n).expect("invalid arrival spec")
+    }
+
+    /// Builds the schedule with checked arithmetic (every variant is
+    /// deterministic, so validation builds exactly what a run replays).
+    fn schedule(&self, n: usize) -> Result<Vec<Cycle>, String> {
+        let overflow = || format!("{} overflows u64 within {n} arrivals", self.label());
+        let out = match self {
+            ArrivalSpec::Fixed { period, start } => (0..n as u64)
+                .map(|i| i.checked_mul(*period)?.checked_add(*start))
+                .collect::<Option<Vec<_>>>()
+                .ok_or_else(overflow)?,
             ArrivalSpec::Poisson { mean_gap, seed } => {
+                if *mean_gap == 0 {
+                    return Err("poisson arrival process needs mean_gap >= 1".into());
+                }
                 let mut state = *seed;
-                let mut now = 0;
+                let mut now: Cycle = 0;
                 (0..n)
                     .map(|_| {
-                        now += exp_gap(&mut state, *mean_gap);
-                        now
+                        now = now.checked_add(exp_gap(&mut state, *mean_gap))?;
+                        Some(now)
                     })
-                    .collect()
+                    .collect::<Option<Vec<_>>>()
+                    .ok_or_else(overflow)?
             }
             ArrivalSpec::Bursty {
                 burst,
@@ -137,26 +120,44 @@ impl ArrivalSpec {
                 burst_gap,
                 seed,
             } => {
+                if *burst == 0 {
+                    return Err("bursty arrival process needs burst >= 1".into());
+                } else if *burst_gap == 0 {
+                    return Err("bursty arrival process needs burst_gap >= 1".into());
+                }
                 let mut state = *seed;
-                let mut burst_start = 0;
+                let mut burst_start: Cycle = 0;
                 let mut out = Vec::with_capacity(n);
                 while out.len() < n {
-                    for i in 0..*burst {
-                        if out.len() == n {
-                            break;
-                        }
-                        out.push(burst_start + i as u64 * gap_in_burst);
+                    if !out.is_empty() {
+                        // Advance past the burst's *span*, not just its
+                        // start: an exponential draw smaller than
+                        // (burst-1)*gap_in_burst would start the next burst
+                        // inside the current one and break the
+                        // nondecreasing-schedule contract.
+                        let gap = exp_gap(&mut state, *burst_gap).max(1);
+                        burst_start = (*burst as u64 - 1)
+                            .checked_mul(*gap_in_burst)
+                            .and_then(|span| span.checked_add(gap)?.checked_add(burst_start))
+                            .ok_or_else(overflow)?;
                     }
-                    // Advance past the burst's *span*, not just its start:
-                    // an exponential draw smaller than (burst-1)*gap_in_burst
-                    // would start the next burst inside the current one and
-                    // break the nondecreasing-schedule contract.
-                    let span = (*burst as u64 - 1) * gap_in_burst;
-                    burst_start += span + exp_gap(&mut state, *burst_gap).max(1);
+                    for i in 0..(*burst).min(n - out.len()) as u64 {
+                        let at = i.checked_mul(*gap_in_burst);
+                        out.push(
+                            at.and_then(|d| d.checked_add(burst_start))
+                                .ok_or_else(overflow)?,
+                        );
+                    }
                 }
                 out
             }
             ArrivalSpec::Trace { cycles } => {
+                if cycles.len() < n {
+                    return Err(format!(
+                        "arrival trace covers {} requests, run needs {n}",
+                        cycles.len()
+                    ));
+                }
                 // Sort first, then keep the earliest n: a surplus trace
                 // replays its n earliest arrivals, not an arbitrary
                 // prefix of the unsorted file.
@@ -165,7 +166,15 @@ impl ArrivalSpec {
                 out.truncate(n);
                 out
             }
+        };
+        // Every schedule is nondecreasing, so the last arrival is the latest.
+        if out.last() == Some(&Cycle::MAX) {
+            return Err(format!(
+                "{} puts an arrival at cycle u64::MAX, which means never",
+                self.label()
+            ));
         }
+        Ok(out)
     }
 
     /// Compact label for tables and JSONL (e.g. `poisson(g500,s7)`).
@@ -337,6 +346,38 @@ mod tests {
             // of the spec.
             prop_assert_eq!(x, spec.arrivals(n));
         }
+    }
+
+    #[test]
+    fn overflowing_schedules_are_rejected() {
+        // Pre-fix these validated; `arrivals` then panicked in debug
+        // builds and returned [9.2e18, 1.8e19, 9.2e18] in release.
+        let half = u64::MAX / 2;
+        let fixed = ArrivalSpec::Fixed {
+            period: half,
+            start: half,
+        };
+        assert_eq!(fixed.validate(2), Ok(()), "two arrivals still fit");
+        assert!(fixed.validate(3).unwrap_err().contains("overflows"));
+        // Cycle::MAX means "never": no arrival may land on it.
+        let never = ArrivalSpec::Trace {
+            cycles: vec![0, u64::MAX],
+        };
+        assert!(never.validate(2).unwrap_err().contains("never"));
+        assert_eq!(never.arrivals(1), vec![0], "an unused surplus is fine");
+        let poisson = ArrivalSpec::Poisson {
+            mean_gap: u64::MAX,
+            seed: 1,
+        };
+        assert!(poisson.validate(2).is_err());
+        let bursty = ArrivalSpec::Bursty {
+            burst: 2,
+            gap_in_burst: half,
+            burst_gap: u64::MAX,
+            seed: 1,
+        };
+        assert!(bursty.validate(2).is_ok());
+        assert!(bursty.validate(3).is_err());
     }
 
     #[test]

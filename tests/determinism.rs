@@ -79,7 +79,7 @@ fn unoptimized_is_deterministic() {
 #[test]
 fn full_policy_stack_is_deterministic() {
     // dynmg+BMA exercises every mechanism at once: hit buffer,
-    // sent_reqs FIFO, MSHR snapshot, two-level throttling.
+    // sent_reqs ring, live MSHR file, two-level throttling.
     assert_deterministic(WorkloadSpec::llama3_70b(), 256, PolicySpec::dynmg_bma());
 }
 
