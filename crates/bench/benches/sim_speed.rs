@@ -137,7 +137,7 @@ fn compare_modes(seq_len: usize, policy: PolicySpec, compute_per_row: u32) -> (f
         System::new(
             e.config,
             p,
-            &move |_| arb.build_kind(),
+            &move |_| arb.build_kind_for(&e.config.l2),
             e.policy.throttle.build_kind(),
         )
     };

@@ -75,16 +75,6 @@ impl MshrAwareArbiter {
         }
     }
 
-    /// Policy MA with default (FIFO) tie-breaking.
-    pub fn ma() -> Self {
-        Self::new(MshrAwareConfig::default(), TieBreak::Fifo)
-    }
-
-    /// Policy BMA: MA with balanced tie-breaking.
-    pub fn bma() -> Self {
-        Self::new(MshrAwareConfig::default(), TieBreak::Balanced)
-    }
-
     /// Step 2 of Fig 5: speculate whether `line` is a cache hit.
     fn spec_hit(&self, line: Addr) -> bool {
         self.hit_buffer.contains(line)
@@ -185,6 +175,16 @@ mod tests {
     use llamcat_sim::types::MemReq;
     use proptest::prelude::*;
 
+    /// Policy MA on Table 5's LLC.
+    fn ma() -> MshrAwareArbiter {
+        MshrAwareArbiter::new(MshrAwareConfig::default(), TieBreak::Fifo)
+    }
+
+    /// Policy BMA: MA with balanced tie-breaking.
+    fn bma() -> MshrAwareArbiter {
+        MshrAwareArbiter::new(MshrAwareConfig::default(), TieBreak::Balanced)
+    }
+
     fn pool_with(reqs: &[(usize, u64)]) -> (ReqPool, Vec<ReqHandle>) {
         let mut pool = ReqPool::default();
         let handles = reqs
@@ -271,7 +271,7 @@ mod tests {
 
     #[test]
     fn prefers_inferred_cache_hit() {
-        let mut a = MshrAwareArbiter::ma();
+        let mut a = ma();
         a.note_hit(0xc0);
         let mshr = MshrFile::new(8, 8);
         let (pool, queue) = pool_with(&[(0, 0x40), (1, 0x80), (2, 0xc0)]);
@@ -281,7 +281,7 @@ mod tests {
 
     #[test]
     fn prefers_mshr_hit_over_plain_miss() {
-        let mut a = MshrAwareArbiter::ma();
+        let mut a = ma();
         let mshr = mshr_with(&[(0x80, 1)], 8);
         let (pool, queue) = pool_with(&[(0, 0x40), (1, 0x80)]);
         let served = vec![0, 0];
@@ -290,7 +290,7 @@ mod tests {
 
     #[test]
     fn full_target_entry_not_preferred() {
-        let mut a = MshrAwareArbiter::ma();
+        let mut a = ma();
         // Entry with all 4 targets used: merging would stall.
         let mshr = mshr_with(&[(0x80, 4)], 4);
         let (pool, queue) = pool_with(&[(0, 0x40), (1, 0x80)]);
@@ -304,7 +304,7 @@ mod tests {
 
     #[test]
     fn sent_reqs_predicts_mshr_hit_before_snapshot_updates() {
-        let mut a = MshrAwareArbiter::ma();
+        let mut a = ma();
         let mshr = MshrFile::new(8, 8);
         let served = vec![0, 0];
         // First selection: plain miss to 0x40 goes into sent_reqs.
@@ -322,7 +322,7 @@ mod tests {
 
     #[test]
     fn spec_hit_masks_sent_reqs() {
-        let mut a = MshrAwareArbiter::ma();
+        let mut a = ma();
         a.note_hit(0x40);
         let mshr = MshrFile::new(8, 8);
         let served = vec![0, 0];
@@ -340,7 +340,7 @@ mod tests {
 
     #[test]
     fn bma_tie_breaks_by_progress() {
-        let mut a = MshrAwareArbiter::bma();
+        let mut a = bma();
         let mshr = MshrFile::new(8, 8);
         // No speculation info: all requests tie at rank 2.
         let (pool, queue) = pool_with(&[(0, 0x40), (1, 0x80), (2, 0xc0)]);
@@ -350,7 +350,7 @@ mod tests {
 
     #[test]
     fn ma_tie_breaks_fifo() {
-        let mut a = MshrAwareArbiter::ma();
+        let mut a = ma();
         let mshr = MshrFile::new(8, 8);
         let (pool, queue) = pool_with(&[(0, 0x40), (1, 0x80)]);
         let served = vec![9, 1];
@@ -359,7 +359,7 @@ mod tests {
 
     #[test]
     fn sent_reqs_ages_out() {
-        let mut a = MshrAwareArbiter::ma();
+        let mut a = ma();
         let mshr = MshrFile::new(8, 8);
         let served = vec![0, 0];
         let (pool, queue) = pool_with(&[(0, 0x40)]);
@@ -371,6 +371,35 @@ mod tests {
         // preferred.
         let (pool, queue) = pool_with(&[(1, 0x80), (0, 0x40)]);
         assert_eq!(a.select(&ctx(&queue, &pool, &mshr, &served)), Some(0));
+    }
+
+    #[test]
+    fn built_arbiters_speculate_over_their_llc_pipeline() {
+        use crate::arbiter::ArbiterKind;
+        use crate::spec::ArbSpec;
+        let mut l2 = llamcat_sim::config::SystemConfig::table5().l2;
+        l2.hit_latency = 6;
+        let residency = 6 + l2.mshr_latency;
+        for spec in [ArbSpec::MshrAware, ArbSpec::BalancedMshrAware] {
+            let ArbiterKind::MshrAware(mut a) = spec.build_kind_for(&l2) else {
+                panic!("{spec:?} builds an MSHR-aware arbiter");
+            };
+            let mshr = MshrFile::new(8, 8);
+            let (pool, queue) = pool_with(&[(0, 0x40)]);
+            assert_eq!(a.select(&ctx(&queue, &pool, &mshr, &[0])), Some(0));
+            for _ in 1..residency {
+                a.tick();
+                assert!(
+                    a.sent.pending_miss(0x40),
+                    "visible within {residency} cycles"
+                );
+            }
+            a.tick();
+            assert!(
+                !a.sent.pending_miss(0x40),
+                "retired after {residency} cycles"
+            );
+        }
     }
 
     #[test]
@@ -461,7 +490,7 @@ mod tests {
 
     #[test]
     fn reset_clears_speculation() {
-        let mut a = MshrAwareArbiter::bma();
+        let mut a = bma();
         a.note_hit(0x40);
         a.reset();
         let mshr = MshrFile::new(8, 8);
@@ -476,7 +505,7 @@ mod tests {
 
     #[test]
     fn names() {
-        assert_eq!(MshrAwareArbiter::ma().name(), "MA");
-        assert_eq!(MshrAwareArbiter::bma().name(), "BMA");
+        assert_eq!(ma().name(), "MA");
+        assert_eq!(bma().name(), "BMA");
     }
 }

@@ -44,6 +44,8 @@ pub use llamcat_trace::mapping::Layout;
 /// with explicit errors rather than producing silent nonsense).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExperimentError {
+    /// The machine configuration failed [`SystemConfig::validate`].
+    InvalidConfig(String),
     /// The workload's shape failed validation.
     InvalidWorkload(String),
     /// The mapping does not legally tile the workload.
@@ -73,6 +75,7 @@ pub enum ExperimentError {
 impl std::fmt::Display for ExperimentError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            ExperimentError::InvalidConfig(msg) => write!(f, "invalid system configuration: {msg}"),
             ExperimentError::InvalidWorkload(msg) => write!(f, "invalid workload: {msg}"),
             ExperimentError::InvalidMapping(msg) => write!(f, "invalid mapping: {msg}"),
             ExperimentError::EmptyTrace { workload } => {
@@ -345,6 +348,9 @@ impl Experiment {
         &self,
         policy: &PolicySpec,
     ) -> Result<(System<ArbiterKind, ThrottleKind>, u64), ExperimentError> {
+        self.config
+            .validate()
+            .map_err(ExperimentError::InvalidConfig)?;
         if let Some(kv) = &self.kv {
             kv.validate().map_err(ExperimentError::InvalidKv)?;
         }
@@ -352,7 +358,7 @@ impl Experiment {
         let mut system = System::new(
             self.config,
             program,
-            &|_slice| policy.arb.build_kind(),
+            &|_slice| policy.arb.build_kind_for(&self.config.l2),
             policy.throttle.build_kind(),
         );
         if let Some(injector) = injector {
@@ -429,7 +435,7 @@ impl Experiment {
     pub fn run_forked(&self, base: &ScenarioSnapshot) -> Result<RunReport, ExperimentError> {
         let mut system = base.state.fork();
         system.replace_policies(
-            &|_slice| self.policy.arb.build_kind(),
+            &|_slice| self.policy.arb.build_kind_for(&self.config.l2),
             self.policy.throttle.build_kind(),
         );
         let (stats, outcome) = system.run_with_mode(base.budget, self.step_mode);
@@ -875,6 +881,26 @@ mod tests {
             e.try_run().unwrap_err(),
             ExperimentError::InvalidMapping(_)
         ));
+    }
+
+    #[test]
+    fn invalid_configs_are_typed_errors() {
+        let base = Experiment::from_spec(&WorkloadSpec::llama3_70b(), 128);
+        let mut three_slices = SystemConfig::table5();
+        three_slices.l2.num_slices = 3;
+        let mut endless_noc = SystemConfig::table5();
+        endless_noc.noc.req_base = u64::MAX;
+        for cfg in [three_slices, endless_noc] {
+            let e = base.clone().config(cfg);
+            assert!(matches!(
+                e.try_run(),
+                Err(ExperimentError::InvalidConfig(_))
+            ));
+            assert!(matches!(
+                e.snapshot_scenario().err(),
+                Some(ExperimentError::InvalidConfig(_))
+            ));
+        }
     }
 
     #[test]

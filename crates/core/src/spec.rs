@@ -22,6 +22,7 @@
 //! directly.
 
 use llamcat_sim::arb::{FifoArbiter, NoThrottle};
+use llamcat_sim::config::{L2Config, SystemConfig};
 use llamcat_sim::kv::{KvEviction, KvTierConfig};
 use llamcat_sim::serve::ServePolicy;
 use llamcat_sim::types::Cycle;
@@ -31,7 +32,8 @@ use llamcat_trace::workloads::WorkloadSpec;
 use serde::{Deserialize, Serialize};
 
 use crate::arbiter::{
-    ArbiterKind, BalancedArbiter, CobrraArbiter, MshrAwareArbiter, PrefixAwareArbiter,
+    ArbiterKind, BalancedArbiter, CobrraArbiter, MshrAwareArbiter, MshrAwareConfig,
+    PrefixAwareArbiter, TieBreak,
 };
 use crate::throttle::{DynMg, DynMgConfig, Dyncta, DynctaConfig, Lcs, ThrottleKind};
 
@@ -68,16 +70,31 @@ impl ArbSpec {
 
     /// Instantiates the arbiter as the closed-world [`ArbiterKind`]
     /// enum — the monomorphized construction path the experiment layer
-    /// uses so the simulator tick loop is free of virtual dispatch.
-    pub fn build_kind(&self) -> ArbiterKind {
+    /// uses so the simulator tick loop is free of virtual dispatch —
+    /// for a slice of the LLC `l2`: MA/BMA keep a `sent_reqs` entry for
+    /// the slice's tag plus MSHR pipeline latency.
+    pub fn build_kind_for(&self, l2: &L2Config) -> ArbiterKind {
+        let mshr_aware = |tie| {
+            let cfg = MshrAwareConfig {
+                hit_latency: l2.hit_latency,
+                mshr_latency: l2.mshr_latency,
+                ..MshrAwareConfig::default()
+            };
+            ArbiterKind::MshrAware(MshrAwareArbiter::new(cfg, tie))
+        };
         match self {
             ArbSpec::Fifo => ArbiterKind::Fifo(FifoArbiter),
             ArbSpec::Balanced => ArbiterKind::Balanced(BalancedArbiter),
-            ArbSpec::MshrAware => ArbiterKind::MshrAware(MshrAwareArbiter::ma()),
-            ArbSpec::BalancedMshrAware => ArbiterKind::MshrAware(MshrAwareArbiter::bma()),
+            ArbSpec::MshrAware => mshr_aware(TieBreak::Fifo),
+            ArbSpec::BalancedMshrAware => mshr_aware(TieBreak::Balanced),
             ArbSpec::Cobrra => ArbiterKind::Cobrra(CobrraArbiter::new()),
             ArbSpec::PrefixAware => ArbiterKind::PrefixAware(PrefixAwareArbiter),
         }
+    }
+
+    /// [`ArbSpec::build_kind_for`] on Table 5's LLC.
+    pub fn build_kind(&self) -> ArbiterKind {
+        self.build_kind_for(&SystemConfig::table5().l2)
     }
 
     /// Resolves a component name (`"B"`, `"cobrra"`, …).

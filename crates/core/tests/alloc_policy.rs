@@ -71,7 +71,7 @@ fn dynmg_bma_steady_state_ticks_are_allocation_free() {
     let mut system = System::new(
         cfg,
         program,
-        &|_| spec.arb.build_kind(),
+        &|_| spec.arb.build_kind_for(&cfg.l2),
         spec.throttle.build_kind(),
     );
 

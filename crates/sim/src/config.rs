@@ -7,6 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::noc::Noc;
 use crate::types::LINE_BYTES;
 
 /// Arbitration between the request path and the response path for the
@@ -248,6 +249,13 @@ impl DramConfig {
     }
 }
 
+/// Longest latency, in core cycles, a configuration may ask for: of a
+/// NoC trip (the largest request latency, or the L2 data latency plus
+/// the largest response latency; Table 5: 34) and of the L2 tag plus
+/// MSHR pipeline (Table 5: 8). Keeps the structures sized by them small
+/// and `now + latency` far from overflow.
+pub const MAX_LATENCY: u64 = 1 << 16;
+
 /// Complete system configuration (Table 5).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct SystemConfig {
@@ -340,6 +348,16 @@ impl SystemConfig {
         if self.l2.mshr_entries == 0 || self.l2.mshr_targets == 0 {
             return Err("MSHR dimensions must be positive".into());
         }
+        // MA/BMA keep one `sent_reqs` slot per cycle of the tag plus
+        // MSHR pipeline, so that span must be positive and bounded.
+        match self.l2.hit_latency.checked_add(self.l2.mshr_latency) {
+            Some(1..=MAX_LATENCY) => {}
+            _ => {
+                return Err(format!(
+                    "L2 hit_latency + mshr_latency must lie in 1..={MAX_LATENCY}"
+                ))
+            }
+        }
         if self.dram.write_low_watermark >= self.dram.write_high_watermark {
             return Err("write watermarks must satisfy low < high".into());
         }
@@ -348,7 +366,18 @@ impl SystemConfig {
         {
             return Err("vector length must divide or be a multiple of the line size".into());
         }
-        Ok(())
+        // The NoC's calendar wheels span the longest trip a message can
+        // take.
+        let bound = |base| Noc::latency_bound(&self.noc, base, self.num_cores);
+        let req = bound(self.noc.req_base);
+        let resp = bound(self.noc.resp_base).and_then(|r| r.checked_add(self.l2.data_latency));
+        match (req, resp) {
+            (Some(req), Some(resp)) if req.max(resp) <= MAX_LATENCY => Ok(()),
+            _ => Err(format!(
+                "NoC latencies (plus the L2 data latency for responses) must stay within \
+                 {MAX_LATENCY} cycles"
+            )),
+        }
     }
 }
 
@@ -430,6 +459,22 @@ mod tests {
         assert!(c.validate().is_err());
         let mut c = SystemConfig::table5();
         c.dram.write_low_watermark = 30;
+        assert!(c.validate().is_err());
+        let mut c = SystemConfig::table5();
+        c.noc.req_base = u64::MAX;
+        assert!(c.validate().is_err());
+        let mut c = SystemConfig::table5();
+        c.noc.hop_latency = u64::MAX / 2;
+        assert!(c.validate().is_err());
+        let mut c = SystemConfig::table5();
+        c.l2.data_latency = MAX_LATENCY;
+        assert!(c.validate().is_err());
+        c.l2.data_latency = 100;
+        assert!(c.validate().is_ok());
+        let mut c = SystemConfig::table5();
+        (c.l2.hit_latency, c.l2.mshr_latency) = (0, 0);
+        assert!(c.validate().is_err());
+        c.l2.hit_latency = u64::MAX;
         assert!(c.validate().is_err());
     }
 }

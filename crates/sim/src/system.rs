@@ -275,7 +275,6 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
         }
         throttle.reset(cfg.num_cores);
         let sched = TbScheduler::new(&program, cfg.num_cores, cfg.core.num_inst_windows);
-        let noc = Noc::new(cfg.noc, cfg.num_cores, cfg.l2.num_slices);
         let dram = DramSystem::new(cfg.dram, MappingScheme::RoBaRaCoCh);
         let n = cfg.num_cores;
         let req_blocks_total = program.blocks_per_request();
@@ -289,9 +288,12 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
         // and slice queues; 2x headroom keeps the arena from growing
         // mid-run (pinned by `tests/alloc_regression.rs`). A single hot
         // slice's ingress can buffer most of that window, so each
-        // slice's ring is preallocated to the same bound.
+        // slice's ring is preallocated to the same bound, and so is each
+        // NoC direction (responses answer loads, so they are bounded by
+        // the L1 miss tables too).
         let in_flight_bound = 2 * n * cfg.l1.miss_entries + 256;
         let pool = ReqPool::with_capacity(in_flight_bound);
+        let noc = Noc::new(&cfg, in_flight_bound);
         for s in &mut slices {
             s.reserve_ingress(in_flight_bound);
         }
@@ -618,8 +620,9 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
     }
 
     /// A slice's wake cycle: the earlier of its own event bound and its
-    /// next NoC request arrival, clamped to the future. A slice with
-    /// per-cycle work queued wakes at `now` without the NoC lookup.
+    /// next NoC request arrival. A slice with per-cycle work queued wakes
+    /// at `now` without the NoC lookup. Every request arriving before
+    /// `now` must have been delivered.
     fn slice_wake_of(
         slice: &mut LlcSlice<A>,
         noc: &Noc,
@@ -632,12 +635,13 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
             Some(at) => at,
             None => Cycle::MAX,
         };
-        own.min(noc.next_req_arrival(s).map_or(Cycle::MAX, |at| at.max(now)))
+        own.min(noc.next_req_arrival(s, now).unwrap_or(Cycle::MAX))
     }
 
     /// A core's wake cycle: the earlier of its own event bound and its
-    /// next NoC response arrival, clamped to the future. A core with
-    /// per-cycle work wakes at `now` without the NoC lookup.
+    /// next NoC response arrival. A core with per-cycle work wakes at
+    /// `now` without the NoC lookup. Every response arriving before
+    /// `now` must have been delivered.
     fn core_wake_of(
         core: &VectorCore,
         sched: &TbScheduler,
@@ -650,10 +654,7 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
             Some(at) => at,
             None => Cycle::MAX,
         };
-        own.min(
-            noc.next_resp_arrival(c)
-                .map_or(Cycle::MAX, |at| at.max(now)),
-        )
+        own.min(noc.next_resp_arrival(c, now).unwrap_or(Cycle::MAX))
     }
 
     /// Converts the DRAM subsystem's next event (in DRAM cycles) into
@@ -691,15 +692,15 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
     /// minimum wake cycle and executes *only the due components*, in
     /// the exact 5-phase order of [`System::tick`]:
     ///
-    /// 1. due slices drain their NoC arrivals and tick (flushing
-    ///    responses and DRAM traffic, which in turn wakes cores and the
-    ///    DRAM);
+    /// 1. the cycle's NoC request slot is delivered (every receiver was
+    ///    woken for it), then due slices tick (flushing responses and
+    ///    DRAM traffic, which in turn wakes cores and the DRAM);
     /// 2. the DRAM clock domain advances — quiet DRAM ticks in closed
     ///    form, event ticks for real — delivering fills (waking
     ///    slices);
-    /// 3. due cores drain responses and tick (flushing requests, which
-    ///    wakes slices); a thread-block completion wakes the throttle
-    ///    (the LCS-style trigger);
+    /// 3. the cycle's NoC response slot is delivered, then due cores
+    ///    tick (flushing requests, which wakes slices); a thread-block
+    ///    completion wakes the throttle (the LCS-style trigger);
     /// 4. when the throttle is due, every core and slice is synced so
     ///    the controller reads exactly the cumulative counters cycle
     ///    mode would hand it, then its decision re-arms the core wakes.
@@ -772,24 +773,32 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
                 }
             }
 
-            // Phases 1+2: due slices — deliver due arrivals, tick,
-            // flush.
+            // Phase 1: this cycle's NoC request slot. Every receiving
+            // slice was woken for the arrival, so it is due; its accrual
+            // is synced before the delivery changes it.
+            let (slices, pool) = (&mut self.slices, &self.pool);
+            self.noc.drain_reqs(now, |s, h| {
+                debug_assert!(wake_slice[s] <= now, "slice {s} not woken for its arrival");
+                Self::sync_slice(&mut slices[s], pool, &mut synced_slice[s], now);
+                slices[s].deliver(h);
+            });
+
+            // Phase 2: due slices — tick, flush.
             let mut dram_touched = false;
             for s in 0..num_slices {
                 if wake_slice[s] > now {
                     continue;
                 }
-                self.sync_slice(&mut synced_slice, s, now);
-                while let Some(h) = self.noc.pop_due_req(s, now) {
-                    self.slices[s].deliver(h);
-                }
+                Self::sync_slice(&mut self.slices[s], &self.pool, &mut synced_slice[s], now);
                 // Same-cycle ordering as the per-cycle path: an earlier
                 // slice's KV transfer start is visible here.
                 self.sync_kv_busy();
                 self.slices[s].tick(now, &mut self.pool);
                 while let Some(o) = self.slices[s].outbound.pop_front() {
+                    // `at >= now`: a response due this very cycle is
+                    // delivered in phase 4 below, as in `tick`.
                     let at = self.noc.send_resp(s, o.resp, o.at.max(now));
-                    wake_core[o.resp.core] = wake_core[o.resp.core].min(at.max(now + 1));
+                    wake_core[o.resp.core] = wake_core[o.resp.core].min(at);
                 }
                 dram_touched |= self.dispatch_dram_reads(s, now);
                 while let Some(&line) = self.slices[s].dram_writes.front() {
@@ -838,7 +847,12 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
                         // it (its quiet accrual basis is the pre-fill
                         // state, exactly as in cycle mode where the
                         // slice ticked in phase 2).
-                        self.sync_slice(&mut synced_slice, f.slice, now + 1);
+                        Self::sync_slice(
+                            &mut self.slices[f.slice],
+                            &self.pool,
+                            &mut synced_slice[f.slice],
+                            now + 1,
+                        );
                         self.slices[f.slice].deliver_fill(f.line_addr);
                         wake_slice[f.slice] = now + 1;
                     }
@@ -846,22 +860,26 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
                 wake_dram = self.dram_event_cycle().unwrap_or(NEVER);
             }
 
-            // Phase 4: due cores — deliver responses, tick, flush.
+            // Phase 4: this cycle's NoC response slot (ahead of the core
+            // ticks, as in `tick`), then due cores — tick, flush.
+            let cores = &mut self.cores;
+            self.noc.drain_resps(now, |c, resp| {
+                debug_assert!(wake_core[c] <= now, "core {c} not woken for its arrival");
+                Self::sync_core(&mut cores[c], &mut synced_core[c], now);
+                cores[c].on_resp(resp, now);
+            });
             for c in 0..num_cores {
                 if wake_core[c] > now {
                     continue;
                 }
-                self.sync_core(&mut synced_core, c, now);
-                while let Some(resp) = self.noc.pop_due_resp(c, now) {
-                    self.cores[c].on_resp(resp, now);
-                }
+                Self::sync_core(&mut self.cores[c], &mut synced_core[c], now);
                 let tbs_before = self.cores[c].stats.tbs_completed;
                 self.cores[c].tick(now, &self.flat, &mut self.sched, &mut self.pool);
                 self.note_retirements(c, now);
                 while let Some(h) = self.cores[c].outbound.pop_front() {
                     let slice = self.slice_of(self.pool.get(h).line_addr);
                     let at = self.noc.send_req(slice, h, now, &self.pool);
-                    wake_slice[slice] = wake_slice[slice].min(at.max(now + 1));
+                    wake_slice[slice] = wake_slice[slice].min(at);
                 }
                 if self.cores[c].stats.tbs_completed != tbs_before {
                     // Thread-block completions are the one discrete
@@ -912,31 +930,32 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
         outcome
     }
 
-    /// Materializes core `c`'s deferred closed-form accrual up to cycle
-    /// `to` (exclusive). A no-op when it is already synced that far.
-    fn sync_core(&mut self, synced: &mut [Cycle], c: usize, to: Cycle) {
-        if synced[c] < to {
-            self.cores[c].skip(synced[c], to - synced[c]);
-            synced[c] = to;
+    /// Materializes a core's deferred closed-form accrual from its
+    /// `synced` watermark up to cycle `to` (exclusive). A no-op when it
+    /// is already synced that far.
+    fn sync_core(core: &mut VectorCore, synced: &mut Cycle, to: Cycle) {
+        if *synced < to {
+            core.skip(*synced, to - *synced);
+            *synced = to;
         }
     }
 
-    /// [`System::sync_core`] for LLC slice `s`.
-    fn sync_slice(&mut self, synced: &mut [Cycle], s: SliceId, to: Cycle) {
-        if synced[s] < to {
-            self.slices[s].skip(synced[s], to - synced[s], &self.pool);
-            synced[s] = to;
+    /// [`System::sync_core`] for an LLC slice.
+    fn sync_slice(slice: &mut LlcSlice<A>, pool: &ReqPool, synced: &mut Cycle, to: Cycle) {
+        if *synced < to {
+            slice.skip(*synced, to - *synced, pool);
+            *synced = to;
         }
     }
 
     /// Syncs every core and slice up to cycle `to` (exclusive), so the
     /// cumulative counters read what cycle mode would have by then.
     fn sync_all(&mut self, synced_core: &mut [Cycle], synced_slice: &mut [Cycle], to: Cycle) {
-        for c in 0..self.cores.len() {
-            self.sync_core(synced_core, c, to);
+        for (core, synced) in self.cores.iter_mut().zip(synced_core) {
+            Self::sync_core(core, synced, to);
         }
-        for s in 0..self.slices.len() {
-            self.sync_slice(synced_slice, s, to);
+        for (slice, synced) in self.slices.iter_mut().zip(synced_slice) {
+            Self::sync_slice(slice, &self.pool, synced, to);
         }
     }
 
@@ -953,13 +972,10 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
             self.run_injector(now);
         }
 
-        // 1. Interconnect -> slice request queues (scratch-free: the
-        // NoC pops due handles straight into the slice's ingress).
-        for s in 0..self.slices.len() {
-            while let Some(h) = self.noc.pop_due_req(s, now) {
-                self.slices[s].deliver(h);
-            }
-        }
+        // 1. Interconnect -> slice request queues: this cycle's wheel
+        // slot, straight into each slice's ingress.
+        let slices = &mut self.slices;
+        self.noc.drain_reqs(now, |s, h| slices[s].deliver(h));
 
         // 2. Slices.
         for s in 0..self.slices.len() {
@@ -997,11 +1013,17 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
             }
         }
 
-        // 4. Cores.
+        // 4. Cores: this cycle's responses first, then every core's
+        // tick. Delivering all responses ahead of the core loop (rather
+        // than each just before its core's tick) changes nothing:
+        // `on_resp` touches only its own core, and a core's tick touches
+        // only itself, the scheduler, the request pool and the NoC's
+        // request wheel — so each core's fills commute with the other
+        // cores' ticks.
+        let cores = &mut self.cores;
+        self.noc
+            .drain_resps(now, |c, resp| cores[c].on_resp(resp, now));
         for c in 0..self.cores.len() {
-            while let Some(resp) = self.noc.pop_due_resp(c, now) {
-                self.cores[c].on_resp(resp, now);
-            }
             self.cores[c].tick(now, &self.flat, &mut self.sched, &mut self.pool);
             self.note_retirements(c, now);
             while let Some(h) = self.cores[c].outbound.pop_front() {

@@ -64,7 +64,7 @@ pub struct MemReq {
 /// Responses are only generated for loads; stores are posted (fire and
 /// forget) because the L1 is write-through / write-no-allocate and the
 /// core never waits on them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MemResp {
     /// Id of the original request.
     pub id: ReqId,

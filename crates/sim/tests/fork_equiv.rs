@@ -243,7 +243,7 @@ fn rich_system() -> System<llamcat::arbiter::ArbiterKind, llamcat::throttle::Thr
     System::new(
         e.config,
         program,
-        &move |_| arb.build_kind(),
+        &move |_| arb.build_kind_for(&e.config.l2),
         e.policy.throttle.build_kind(),
     )
 }
