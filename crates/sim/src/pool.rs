@@ -17,7 +17,7 @@
 use crate::types::MemReq;
 
 /// Index of a pooled in-flight request (4 bytes — what the queues and
-/// NoC lanes actually move).
+/// NoC wheels actually move).
 pub type ReqHandle = u32;
 
 /// The request arena. One per [`crate::system::System`]; sized by the

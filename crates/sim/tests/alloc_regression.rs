@@ -8,9 +8,9 @@
 //! perform **zero heap allocations**. This pins the PR-5 invariant that
 //! the steady-state tick loop is allocation-free: MSHR target lists and
 //! L1 waiter lists live in flat preallocated storage, requests are
-//! recycled through the `ReqPool` arena, the NoC lanes and pipeline
-//! queues reuse their rings, and the per-fill `mshr_pipe` rebuild is an
-//! in-place rotation.
+//! recycled through the `ReqPool` arena, the NoC wheels reuse their
+//! node arenas and the pipeline queues their rings, and the per-fill
+//! `mshr_pipe` rebuild is an in-place rotation.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
