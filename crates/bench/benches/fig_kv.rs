@@ -22,11 +22,9 @@
 //! cells whose policy ranking *inverts* relative to the no-tier
 //! reference of the same prefix share. One JSON record per cell goes
 //! to stdout; `LLAMCAT_FIG_KV_JSON` names an optional machine-readable
-//! artifact (`BENCH_sim_speed.json` archives its throughput numbers).
+//! artifact with the inversions and every cell.
 //!
 //! Scale via `LLAMCAT_SCALE` as usual (full | half | quick).
-
-use std::time::Instant;
 
 use llamcat::spec::{KvSpec, MixSpec, PolicySpec};
 use llamcat_bench::{scale_divisor, scale_label, Campaign, CellRecord};
@@ -230,44 +228,12 @@ fn main() {
         println!("{line}");
     }
 
-    // Simulator throughput on a representative tight-capacity cell,
-    // both modes, sequential timing (the cyc/s figure
-    // BENCH_sim_speed.json tracks under `pr7_kv`).
-    let campaign = tiered(StepMode::Cycle);
-    let cells = campaign.cells();
-    let probe = cells.len() / 2; // mid-grid: pressured but not degenerate
-    let mut speed = Vec::new();
-    for mode in [StepMode::Cycle, StepMode::Skip] {
-        let exp = cells[probe].experiment(&campaign).step_mode(mode);
-        let t0 = Instant::now();
-        let r = exp.run();
-        let wall = t0.elapsed().as_secs_f64();
-        println!(
-            "[fig_kv] throughput {} {mode:?}: {} cycles in {wall:.3}s = {:.0} cyc/s",
-            cells[probe].policy.label(),
-            r.cycles,
-            r.cycles as f64 / wall
-        );
-        speed.push((mode, r.cycles, wall));
-    }
-
     if let Ok(path) = std::env::var("LLAMCAT_FIG_KV_JSON") {
-        let mut json = String::from("{\n  \"schema\": \"llamcat-fig-kv/1\",\n");
-        json.push_str(&llamcat_bench::bench_meta_json_fields());
+        let mut json = String::from("{\n  \"schema\": \"llamcat-fig-kv/2\",\n");
         json.push_str(&format!(
             "  \"seq_len\": {seq_len},\n  \"tenants\": {TENANTS},\n"
         ));
-        json.push_str("  \"throughput\": [\n");
-        for (i, (mode, cycles, wall)) in speed.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"cell\": \"{}\", \"mode\": \"{mode:?}\", \"cycles\": {cycles}, \
-                 \"wall_s\": {wall:.4}, \"cycles_per_sec\": {:.0}}}{}\n",
-                cells[probe].policy.label(),
-                *cycles as f64 / wall,
-                if i + 1 == speed.len() { "" } else { "," }
-            ));
-        }
-        json.push_str("  ],\n  \"inversions\": [\n");
+        json.push_str("  \"inversions\": [\n");
         for (i, msg) in inversions.iter().enumerate() {
             json.push_str(&format!(
                 "    \"{msg}\"{}\n",

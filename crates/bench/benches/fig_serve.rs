@@ -21,16 +21,13 @@
 //! TTFT, TBT, SLO verdict), extending the Skip ≡ Cycle guarantee to
 //! mid-run injection with overload admission. One JSON record per
 //! (cell, rate) point goes to stdout; when `LLAMCAT_FIG_SERVE_JSON`
-//! names a path, a machine-readable report with simulator throughput
-//! (cyc/s) and the per-cell knees is written there (the artifact
-//! `BENCH_sim_speed.json` archives).
+//! names a path, a machine-readable report with the per-cell knees and
+//! every sweep point is written there.
 //!
 //! Scale via `LLAMCAT_SCALE` as usual (full | half | quick). Set
 //! `LLAMCAT_FIG_SERVE_BURSTY=1` to swap the Poisson arrivals for an
 //! overlapping-burst storm at the same mean rate (the regime the
 //! headline arrival-order bugfix unblocked).
-
-use std::time::Instant;
 
 use llamcat::experiment::{Experiment, RunReport};
 use llamcat::spec::{ArrivalSpec, PolicySpec, ServePolicySpec, ServeSpec, SloSpec};
@@ -395,55 +392,15 @@ fn main() {
         println!("{line}");
     }
 
-    // Simulator throughput on a representative serve cell, both modes,
-    // sequential timing (the cyc/s figure BENCH_sim_speed.json tracks).
-    let mid_gap = gaps[gaps.len() / 2];
-    let spec = serve_spec(
-        seq_len,
-        n_req,
-        mid_gap,
-        ttft_deadline,
-        bursty,
-        &cell_defs[1],
-    );
-    let mut speed = Vec::new();
-    for mode in [StepMode::Cycle, StepMode::Skip] {
-        let exp = Experiment::from_serve_spec(&spec)
-            .expect("serve spec composes")
-            .policy(cell_defs[1].policy.clone())
-            .step_mode(mode);
-        let t0 = Instant::now();
-        let r = exp.run();
-        let wall = t0.elapsed().as_secs_f64();
-        println!(
-            "[fig_serve] throughput {} {mode:?}: {} cycles in {wall:.3}s = {:.0} cyc/s",
-            cell_defs[1].name,
-            r.cycles,
-            r.cycles as f64 / wall
-        );
-        speed.push((mode, r.cycles, wall));
-    }
-
     if let Ok(path) = std::env::var("LLAMCAT_FIG_SERVE_JSON") {
-        let mut json = String::from("{\n  \"schema\": \"llamcat-fig-serve/3\",\n");
-        json.push_str(&llamcat_bench::bench_meta_json_fields());
+        let mut json = String::from("{\n  \"schema\": \"llamcat-fig-serve/4\",\n");
         json.push_str(&format!(
             "  \"seq_len\": {seq_len},\n  \"num_requests\": {n_req},\n  \
              \"arrivals\": \"{}\",\n  \"solo_service_cycles\": {svc},\n  \
              \"solo_ttft\": {solo_ttft},\n  \"ttft_deadline\": {ttft_deadline},\n",
             if bursty { "bursty" } else { "poisson" },
         ));
-        json.push_str("  \"throughput\": [\n");
-        for (i, (mode, cycles, wall)) in speed.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"cell\": \"{}\", \"mode\": \"{mode:?}\", \"cycles\": {cycles}, \
-                 \"wall_s\": {wall:.4}, \"cycles_per_sec\": {:.0}}}{}\n",
-                cell_defs[1].name,
-                *cycles as f64 / wall,
-                if i + 1 == speed.len() { "" } else { "," }
-            ));
-        }
-        json.push_str("  ],\n  \"knees\": [\n");
+        json.push_str("  \"knees\": [\n");
         for (i, (name, knee, status, goodput)) in knees.iter().enumerate() {
             json.push_str(&format!(
                 "    {{\"cell\": \"{name}\", \"knee_gap\": {}, \"knee_status\": \"{status}\", \

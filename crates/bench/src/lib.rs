@@ -11,7 +11,6 @@
 //! | `fig9` | Fig 9(a,b): L2-capacity sweep at 32K |
 //! | `table_sweeps` | Tables 2–4: throttling parameter sweeps |
 //! | `area_cost` | Section 6.1 hardware-cost comparison |
-//! | `sim_speed` | Criterion micro-benchmarks of the substrate itself |
 //!
 //! Scale is controlled with `LLAMCAT_SCALE` = `full` | `half` (default) |
 //! `quick`: sequence lengths divide by 1 / 2 / 8. Orderings are stable
@@ -32,40 +31,6 @@ pub use campaign::{
     cell_spec_hash, run_experiments, Campaign, CampaignCell, CampaignReport, CellRecord,
     MachineSpec,
 };
-
-/// The build profile this bench binary was compiled under, for
-/// embedding in machine-readable artifacts. Baked in at compile time
-/// from Cargo's `PROFILE` (see `build.rs`); the `LLAMCAT_BENCH_PROFILE`
-/// env var overrides it at runtime for custom profile names (Cargo only
-/// reports the inherited family, so a `release-bench` build would
-/// otherwise self-describe as plain `release`).
-pub fn bench_profile() -> String {
-    std::env::var("LLAMCAT_BENCH_PROFILE")
-        .unwrap_or_else(|_| env!("LLAMCAT_BUILD_PROFILE").to_string())
-}
-
-/// One-line host context for bench artifacts: the logical CPU count —
-/// the host property that most affects wall-clock numbers here, since
-/// the campaign executor fans out one rayon chunk per core.
-pub fn host_note() -> String {
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(0);
-    format!("nproc={cpus}")
-}
-
-/// The metadata fields every `*_JSON` bench artifact embeds, as a
-/// ready-to-splice JSON fragment (two `"key": "value",` lines at
-/// 2-space indent). Numbers are only comparable like-for-like: same
-/// profile, same host note — archived artifacts carry both so a future
-/// PR never diffs a release run against a debug one or a wider box.
-pub fn bench_meta_json_fields() -> String {
-    format!(
-        "  \"profile\": \"{}\",\n  \"host\": \"{}\",\n",
-        bench_profile(),
-        host_note()
-    )
-}
 
 /// Verdict of scanning a load sweep for the goodput knee — the first
 /// rate where SLO attainment drops below threshold.
@@ -265,19 +230,6 @@ mod tests {
             GoodputKnee::SaturatedAtLightest.status_label(),
             "saturated_at_lightest"
         );
-    }
-
-    #[test]
-    fn bench_meta_fields_are_well_formed() {
-        // Baked-in profile is whatever this test binary was built
-        // under; the fragment is two complete `"key": "value",` lines
-        // ready to splice under a JSON object's opening brace.
-        let fragment = bench_meta_json_fields();
-        assert!(fragment.contains("\"profile\": \""));
-        assert!(fragment.contains("\"host\": \"nproc="));
-        assert_eq!(fragment.matches('\n').count(), 2);
-        assert!(fragment.ends_with(",\n"));
-        assert!(!bench_profile().is_empty());
     }
 
     #[test]

@@ -570,10 +570,25 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
             self.tick();
             self.ticks_executed += 1;
             if self.is_done() {
+                self.debug_assert_conserved();
                 return RunOutcome::Completed;
             }
         }
         self.cycle_limit_outcome()
+    }
+
+    /// End-of-run conservation on [`RunOutcome::Completed`], checked in
+    /// debug builds: every pool handle was released, and every request
+    /// either completed or was rejected.
+    fn debug_assert_conserved(&self) {
+        debug_assert_eq!(self.pool.live(), 0, "live ReqPool handles at completion");
+        debug_assert!(
+            self.req_completed
+                .iter()
+                .zip(&self.req_rejected)
+                .all(|(&done, &rejected)| done || rejected != Cycle::MAX),
+            "a request neither completed nor was rejected"
+        );
     }
 
     /// The budget-exhausted outcome, carrying per-request completion.
@@ -614,7 +629,7 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
     }
 
     /// (real ticks executed, cycles fast-forwarded) — instrumentation
-    /// for the `sim_speed` bench and skip-efficiency diagnostics.
+    /// for skip-efficiency diagnostics.
     pub fn step_counts(&self) -> (u64, u64) {
         (self.ticks_executed, self.cycles_skipped)
     }
@@ -921,6 +936,7 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
                 // `now`, idle ones included).
                 self.sync_all(&mut synced_core, &mut synced_slice, now + 1);
                 self.dram_sync_quiet((now + 1) * self.core_period_ps);
+                self.debug_assert_conserved();
                 break RunOutcome::Completed;
             }
         };

@@ -18,17 +18,21 @@ use llamcat_sim::prog::{Instr, Program, ThreadBlock};
 use llamcat_sim::system::{RunOutcome, StepMode, System};
 use llamcat_trace::workloads::WorkloadSpec;
 
-fn experiment(policy: &PolicySpec, mode: StepMode) -> Experiment {
-    Experiment::from_spec(&WorkloadSpec::llama3_70b(), 128)
+/// Llama3 70b decode at seq 128 with `compute_cycles_per_row` vector
+/// cycles per K row (1 is the trace default, memory-bound).
+fn experiment(policy: &PolicySpec, mode: StepMode, compute_cycles_per_row: u32) -> Experiment {
+    let mut e = Experiment::from_spec(&WorkloadSpec::llama3_70b(), 128)
         .policy(policy.clone())
-        .step_mode(mode)
+        .step_mode(mode);
+    e.tracegen.compute_cycles_per_row = compute_cycles_per_row;
+    e
 }
 
 /// Runs one policy cell in both modes and asserts full observational
 /// equivalence: outcome, serialized report, serialized `SimStats`.
-fn assert_cell_equivalent(policy: &PolicySpec, budget: Option<u64>) {
+fn assert_cell_equivalent(policy: &PolicySpec, budget: Option<u64>, compute_cycles_per_row: u32) {
     let run = |mode| {
-        let mut e = experiment(policy, mode);
+        let mut e = experiment(policy, mode, compute_cycles_per_row);
         e.max_cycles = budget;
         e.run()
     };
@@ -65,7 +69,17 @@ fn assert_cell_equivalent(policy: &PolicySpec, budget: Option<u64>) {
 #[test]
 fn all_golden_cells_are_mode_equivalent() {
     for policy in PolicySpec::matrix() {
-        assert_cell_equivalent(&policy, None);
+        assert_cell_equivalent(&policy, None, 1);
+    }
+}
+
+/// Compute-heavy decode (64 cycles per K row) opens whole-machine idle
+/// windows: the regime where Skip jumps furthest, under the baseline
+/// and the paper's full policy stack.
+#[test]
+fn compute_heavy_decode_is_mode_equivalent() {
+    for policy in [PolicySpec::unoptimized(), PolicySpec::dynmg_bma()] {
+        assert_cell_equivalent(&policy, None, 64);
     }
 }
 
@@ -79,7 +93,7 @@ fn budget_exhaustion_is_mode_equivalent() {
     // Completion cycle of this cell (golden table: 12269 for the
     // unoptimized baseline, but derive it so the test survives
     // intentional golden updates).
-    let completed = experiment(&PolicySpec::unoptimized(), StepMode::Cycle).run();
+    let completed = experiment(&PolicySpec::unoptimized(), StepMode::Cycle, 1).run();
     let full = completed.cycles;
     for policy in [PolicySpec::unoptimized(), PolicySpec::dynmg_bma()] {
         for budget in [
@@ -93,11 +107,11 @@ fn budget_exhaustion_is_mode_equivalent() {
             full + 1,
             full + 10_000,
         ] {
-            assert_cell_equivalent(&policy, Some(budget));
+            assert_cell_equivalent(&policy, Some(budget), 1);
         }
     }
     // And the budget is a hard ceiling in skip mode.
-    let limited = experiment(&PolicySpec::unoptimized(), StepMode::Skip)
+    let limited = experiment(&PolicySpec::unoptimized(), StepMode::Skip, 1)
         .max_cycles(full / 2)
         .run();
     assert!(!limited.completed);

@@ -13,8 +13,6 @@
 //!   [`WorkloadSpec`](workloads::WorkloadSpec) campaign currency;
 //! * [`mapping`] — loop-nest mapping IR with the paper's legality
 //!   constraints (Section 6.2.2);
-//! * [`mapper`] — a constrained search ranking legal mappings by
-//!   estimated K reuse distance (hand-written mappings also accepted);
 //! * [`tracegen`] — walks a mapping into an executable
 //!   [`Program`](llamcat_sim::prog::Program);
 //! * [`mix`] — multi-tenant serving mixes: N co-scheduled requests
@@ -31,8 +29,8 @@
 //! use llamcat_trace::prelude::*;
 //!
 //! let op = LogitOp::llama3_70b(1024);
-//! let cand = best_mapping(&op, &MapperConstraints::default()).unwrap();
-//! let (program, meta) = generate(&op, &cand.mapping, &TraceGenConfig::default());
+//! let mapping = Layout::Spatial.mapping(&op, 32, 16);
+//! let (program, meta) = generate(&op, &mapping, &TraceGenConfig::default());
 //! assert_eq!(meta.num_blocks, program.num_blocks());
 //! // Every query head streams its group's K once:
 //! assert!(meta.total_load_bytes >= op.k_bytes() * op.group_size as u64);
@@ -40,7 +38,6 @@
 
 pub mod arrivals;
 pub mod format;
-pub mod mapper;
 pub mod mapping;
 pub mod mix;
 pub mod tracegen;
@@ -51,7 +48,6 @@ pub mod workloads;
 pub mod prelude {
     pub use crate::arrivals::ArrivalSpec;
     pub use crate::format::TraceFile;
-    pub use crate::mapper::{best_mapping, enumerate, Candidate, MapperConstraints};
     pub use crate::mapping::{logit_mapping, Dim, Layout, Level, Loop, LoopKind, Mapping, TbOrder};
     pub use crate::mix::{
         generate_serve_set, MixAssignment, MixMeta, MixedRequest, WorkloadMix, REQUEST_VA_STRIDE,

@@ -6,7 +6,7 @@
 //! first), each loop bound to a dimension with a tile count, and tagged
 //! spatial (parallel over cores / vector lanes) or temporal.
 //!
-//! The paper adds two constraints on top of the mapper (Section 6.2.2):
+//! The paper adds two constraints to every mapping (Section 6.2.2):
 //!
 //! 1. the fastest (innermost) axis is assigned to the vector unit so
 //!    cache-line accesses are complete;
@@ -179,31 +179,6 @@ impl Mapping {
         self.level(Level::L2)
             .iter()
             .any(|l| l.kind == LoopKind::Spatial)
-    }
-
-    /// Human-readable rendering, one loop per line (Timeloop style).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let mut indent = 0;
-        for (level, loops) in &self.levels {
-            out.push_str(&format!("{:indent$}[{level:?}]\n", "", indent = indent));
-            for l in loops {
-                let kind = match l.kind {
-                    LoopKind::Temporal => "for",
-                    LoopKind::Spatial => "par-for",
-                };
-                out.push_str(&format!(
-                    "{:indent$}{kind} {dim:?} in 0..{extent}\n",
-                    "",
-                    indent = indent + 2,
-                    dim = l.dim,
-                    extent = l.extent
-                ));
-                indent += 2;
-            }
-            indent += 2;
-        }
-        out
     }
 }
 
@@ -550,14 +525,5 @@ mod tests {
         assert_eq!(m.spatial_g(), 4);
         // 4 consecutive query heads per core, temporal.
         assert_eq!(m.total_extent(Dim::G), 16);
-    }
-
-    #[test]
-    fn render_is_readable() {
-        let op = LogitOp::llama3_70b(128);
-        let m = logit_mapping(&op, 32, TbOrder::GInner);
-        let r = m.render();
-        assert!(r.contains("par-for D in 0..128"));
-        assert!(r.contains("[L2]"));
     }
 }

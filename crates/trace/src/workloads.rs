@@ -28,7 +28,7 @@
 //!   definitions can cross workloads × sequence lengths as data.
 //!
 //! All three workloads share the {H, G, L, D} space, so every [`Layout`]
-//! loop nest, the mapper and the legality constraints apply unchanged.
+//! loop nest and the legality constraints apply unchanged.
 
 use std::fmt;
 use std::sync::Arc;
