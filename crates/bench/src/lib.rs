@@ -135,31 +135,6 @@ pub fn print_speedup_table(
     }
 }
 
-/// The standard policy ladder of Fig 7/8.
-pub fn throttling_policies() -> Vec<PolicySpec> {
-    vec![PolicySpec::dyncta(), PolicySpec::lcs(), PolicySpec::dynmg()]
-}
-
-/// Arbitration policies, each run on top of dynmg (Fig 7(b)/(e)).
-pub fn arbitration_policies() -> Vec<PolicySpec> {
-    vec![
-        PolicySpec::dynmg_cobrra(),
-        PolicySpec::dynmg_b(),
-        PolicySpec::dynmg_ma(),
-        PolicySpec::dynmg_bma(),
-    ]
-}
-
-/// Cumulative ladder (Fig 7(c)/(f)).
-pub fn cumulative_policies() -> Vec<PolicySpec> {
-    vec![
-        PolicySpec::dynmg(),
-        PolicySpec::dynmg_b(),
-        PolicySpec::dynmg_ma(),
-        PolicySpec::dynmg_bma(),
-    ]
-}
-
 /// Fig 9's policy set.
 pub fn fig9_policies() -> Vec<PolicySpec> {
     vec![
@@ -234,9 +209,6 @@ mod tests {
 
     #[test]
     fn policy_sets_are_complete() {
-        assert_eq!(throttling_policies().len(), 3);
-        assert_eq!(arbitration_policies().len(), 4);
-        assert_eq!(cumulative_policies().len(), 4);
         assert_eq!(fig9_policies().len(), 6);
     }
 

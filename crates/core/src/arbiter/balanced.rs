@@ -22,10 +22,6 @@ impl RequestArbiter for BalancedArbiter {
     fn next_event(&self, _now: u64) -> Option<u64> {
         None // stateless between selections: ticking is a no-op
     }
-
-    fn name(&self) -> &'static str {
-        "B"
-    }
 }
 
 #[cfg(test)]

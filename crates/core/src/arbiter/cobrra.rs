@@ -96,10 +96,6 @@ impl RequestArbiter for CobrraArbiter {
     fn reset(&mut self) {
         self.draining = false;
     }
-
-    fn name(&self) -> &'static str {
-        "cobrra"
-    }
 }
 
 #[cfg(test)]

@@ -99,8 +99,4 @@ impl RequestArbiter for ArbiterKind {
     fn skip(&mut self, cycles: u64) {
         each_arbiter!(self, a => a.skip(cycles))
     }
-
-    fn name(&self) -> &'static str {
-        each_arbiter!(self, a => a.name())
-    }
 }

@@ -158,13 +158,6 @@ impl RequestArbiter for MshrAwareArbiter {
         self.hit_buffer.clear();
         self.sent.clear();
     }
-
-    fn name(&self) -> &'static str {
-        match self.tie {
-            TieBreak::Fifo => "MA",
-            TieBreak::Balanced => "BMA",
-        }
-    }
 }
 
 #[cfg(test)]
@@ -501,11 +494,5 @@ mod tests {
             Some(0),
             "FIFO"
         );
-    }
-
-    #[test]
-    fn names() {
-        assert_eq!(ma().name(), "MA");
-        assert_eq!(bma().name(), "BMA");
     }
 }

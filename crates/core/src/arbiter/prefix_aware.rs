@@ -31,10 +31,6 @@ impl RequestArbiter for PrefixAwareArbiter {
     fn next_event(&self, _now: u64) -> Option<u64> {
         None // stateless between selections: ticking is a no-op
     }
-
-    fn name(&self) -> &'static str {
-        "PFA"
-    }
 }
 
 #[cfg(test)]

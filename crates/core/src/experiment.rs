@@ -375,21 +375,7 @@ impl Experiment {
     /// Panics on invalid workload/mapping; [`Experiment::try_run`]
     /// reports those gracefully.
     pub fn build_program(&self) -> Program {
-        if let Some(spec) = &self.serve {
-            let (program, _, _) = self.serve_program(spec).expect("serve set must compose");
-            return program;
-        }
-        if let Some(mix) = &self.mix {
-            let (program, _) = mix
-                .generate(self.layout, self.l_tile, &self.tracegen)
-                .expect("mix must compose");
-            return program;
-        }
-        let mapping = self
-            .workload
-            .mapping(self.layout, self.l_tile, self.config.num_cores);
-        let (program, _) = self.workload.generate(&mapping, &self.tracegen);
-        program
+        self.checked_program().expect("experiment must be valid").0
     }
 
     /// Runs the experiment to completion, rejecting degenerate inputs.
@@ -515,7 +501,9 @@ pub struct RequestReport {
     /// back to the admission queue by a higher-class arrival).
     #[serde(default)]
     pub preemptions: u32,
-    /// Serving priority class (0 = best-effort).
+    /// Serving priority class (0 = best-effort): the mix request's
+    /// class for mix runs, the serve spec's for serve runs, 0 for solo
+    /// runs.
     #[serde(default)]
     pub class: u8,
     /// Verdict against the scenario's SLO (`None` when no SLO was
@@ -633,12 +621,9 @@ pub struct RunReport {
 
 impl RunReport {
     fn from_stats(exp: &Experiment, stats: SimStats, outcome: RunOutcome) -> Self {
-        let request_label = |i: usize| -> String {
-            match &exp.mix {
-                Some(mix) => mix.requests[i].workload.label(),
-                None => exp.workload.label(),
-            }
-        };
+        // A closed mix names and classes its requests; the simulator
+        // sees neither.
+        let mix_request = |i: usize| exp.mix.as_ref().map(|mix| &mix.requests[i]);
         let slo_spec = exp.serve.as_ref().and_then(|s| s.slo);
         let requests: Vec<RequestReport> = stats
             .requests
@@ -646,7 +631,7 @@ impl RunReport {
             .enumerate()
             .map(|(i, r)| RequestReport {
                 request: i as u32,
-                label: request_label(i),
+                label: mix_request(i).map_or_else(|| exp.workload.label(), |m| m.workload.label()),
                 arrival: r.arrival,
                 completed: r.completed,
                 cycles: r.cycles_to_completion(),
@@ -656,7 +641,7 @@ impl RunReport {
                 queue_delay: r.queue_delay(),
                 rejected: r.rejected,
                 preemptions: r.preemptions,
-                class: r.class,
+                class: mix_request(i).map_or(r.class, |m| m.class),
                 slo: slo_spec.map(|s| r.slo_outcome(s.ttft_deadline, s.tbt_deadline)),
                 blocks_total: r.blocks_total,
                 blocks_completed: r.blocks_completed,
@@ -951,6 +936,19 @@ mod tests {
         // at cycle 0, so the slower tenant bounds the run).
         let slowest = report.requests.iter().map(|r| r.cycles).max().unwrap();
         assert!(slowest <= report.cycles);
+    }
+
+    #[test]
+    fn mix_experiment_reports_request_classes() {
+        use crate::spec::{MixSpec, RequestSpec};
+        let mut spec = MixSpec::partitioned().request(WorkloadSpec::llama3_70b(), 128, 0);
+        spec.requests
+            .push(RequestSpec::new(WorkloadSpec::llama3_70b(), 128).with_class(2));
+        let exp = Experiment::from_mix_spec(&spec).unwrap();
+        assert!(exp.mix.as_ref().unwrap().label().ends_with("#c2]"));
+        let report = exp.run();
+        let classes: Vec<u8> = report.requests.iter().map(|r| r.class).collect();
+        assert_eq!(classes, vec![0, 2]);
     }
 
     #[test]

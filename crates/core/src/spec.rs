@@ -430,12 +430,6 @@ impl RequestSpec {
         }
     }
 
-    /// Staggers the request's arrival.
-    pub fn arriving_at(mut self, cycle: Cycle) -> Self {
-        self.arrival = cycle;
-        self
-    }
-
     /// Assigns a priority class.
     pub fn with_class(mut self, class: u8) -> Self {
         self.class = class;
@@ -800,7 +794,6 @@ impl ServeSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use llamcat_sim::arb::RequestArbiter;
 
     #[test]
     fn registry_names_round_trip_their_labels() {
@@ -936,7 +929,6 @@ mod tests {
         // The canonical registry is unchanged: golden tables built from
         // explicit name lists stay pinned.
         assert!(!PolicySpec::registry_names().contains(&"PFA"));
-        assert_eq!(ArbSpec::PrefixAware.build_kind().name(), "PFA");
     }
 
     #[test]

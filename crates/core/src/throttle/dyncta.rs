@@ -120,10 +120,6 @@ impl ThrottleController for Dyncta {
         self.limit = vec![usize::MAX; num_cores];
         self.next_sample = self.cfg.period;
     }
-
-    fn name(&self) -> &'static str {
-        "dyncta"
-    }
 }
 
 #[cfg(test)]

@@ -288,10 +288,6 @@ impl ThrottleController for DynMg {
         self.next_sub = self.cfg.sub_period;
         self.last_contention = Contention::Low;
     }
-
-    fn name(&self) -> &'static str {
-        "dynmg"
-    }
 }
 
 #[cfg(test)]

@@ -93,10 +93,6 @@ impl ThrottleController for Lcs {
         ];
         self.seen_tbs = vec![0; num_cores];
     }
-
-    fn name(&self) -> &'static str {
-        "lcs"
-    }
 }
 
 #[cfg(test)]

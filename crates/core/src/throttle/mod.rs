@@ -55,8 +55,4 @@ impl ThrottleController for ThrottleKind {
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         each_throttle!(self, t => t.next_event(now))
     }
-
-    fn name(&self) -> &'static str {
-        each_throttle!(self, t => t.name())
-    }
 }

@@ -151,8 +151,6 @@ pub trait RequestArbiter {
             self.tick();
         }
     }
-
-    fn name(&self) -> &'static str;
 }
 
 /// Default arbitration: first-come, first-served.
@@ -170,10 +168,6 @@ impl RequestArbiter for FifoArbiter {
 
     fn next_event(&self, _now: Cycle) -> Option<Cycle> {
         None // stateless: ticking it is a no-op
-    }
-
-    fn name(&self) -> &'static str {
-        "fifo"
     }
 }
 
@@ -227,8 +221,6 @@ pub trait ThrottleController {
     fn next_event(&self, now: Cycle) -> Option<Cycle> {
         Some(now)
     }
-
-    fn name(&self) -> &'static str;
 }
 
 /// Default: no throttling (all windows usable).
@@ -244,10 +236,6 @@ impl ThrottleController for NoThrottle {
 
     fn next_event(&self, _now: Cycle) -> Option<Cycle> {
         None // stateless, constant output
-    }
-
-    fn name(&self) -> &'static str {
-        "unoptimized"
     }
 }
 

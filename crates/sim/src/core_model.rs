@@ -246,25 +246,16 @@ impl VectorCore {
             return IssueResult::ComputeBusy;
         }
         let n = self.windows.len();
-        let mut any_memory_wait = false;
         for k in 0..n {
             let wi = (self.last_issued + k) % n;
-            match self.try_issue_window(wi, now, program, pool) {
-                WindowIssue::Issued => {
-                    self.last_issued = wi;
-                    return IssueResult::Issued;
-                }
-                WindowIssue::MemoryWait => any_memory_wait = true,
-                WindowIssue::Empty => {}
+            if let WindowIssue::Issued = self.try_issue_window(wi, now, program, pool) {
+                self.last_issued = wi;
+                return IssueResult::Issued;
             }
         }
-        if any_memory_wait {
-            IssueResult::AllBlockedOnMemory
-        } else {
-            // Resident blocks exist but none is memory-blocked nor
-            // issuable: only possible transiently at retire boundaries.
-            IssueResult::AllBlockedOnMemory
-        }
+        // Resident blocks exist but none issued: memory-blocked, or
+        // (transiently, at a retire boundary) nothing issuable.
+        IssueResult::AllBlockedOnMemory
     }
 
     fn try_issue_window(
@@ -419,11 +410,6 @@ impl VectorCore {
             self.outbound.push_back(h);
             line += LINE_BYTES;
         }
-    }
-
-    /// L1 outstanding misses (for tests).
-    pub fn l1_outstanding(&self) -> usize {
-        self.l1.outstanding()
     }
 
     /// Event bound for the fast-forward engine (see

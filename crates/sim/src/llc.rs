@@ -711,11 +711,6 @@ impl<A: RequestArbiter> LlcSlice<A> {
         self.id
     }
 
-    /// Name of the installed arbiter policy.
-    pub fn arbiter_name(&self) -> &'static str {
-        self.arbiter.name()
-    }
-
     /// Current MSHR occupancy (for tests and debugging).
     pub fn mshr_occupancy(&self) -> usize {
         self.mshr.occupancy()

@@ -41,8 +41,6 @@ pub struct TbScheduler {
     /// free window and an empty home queue — the entire drain phase).
     steal_candidates: usize,
     migrations: u64,
-    /// Enable cross-core migration (on by default).
-    pub migration: bool,
 }
 
 impl TbScheduler {
@@ -77,7 +75,6 @@ impl TbScheduler {
             remaining: program.num_blocks(),
             steal_candidates,
             migrations: 0,
-            migration: true,
         }
     }
 
@@ -125,7 +122,7 @@ impl TbScheduler {
         if let Some(w) = self.longest_released(core, now) {
             return Some(self.pop_front_of(core, w));
         }
-        if !self.migration || self.steal_candidates == 0 {
+        if self.steal_candidates == 0 {
             return None;
         }
         // Steal from the most backlogged chunk anywhere (>= 2 blocks so
@@ -182,8 +179,7 @@ impl TbScheduler {
             return true;
         }
         // Migration steals only from chunks holding >= 2 blocks.
-        self.migration
-            && self.steal_candidates > 0
+        self.steal_candidates > 0
             && self.queues.iter().any(|windows| {
                 windows
                     .iter()
@@ -211,7 +207,7 @@ impl TbScheduler {
                 }
             }
         }
-        if self.migration && self.steal_candidates > 0 {
+        if self.steal_candidates > 0 {
             for windows in &self.queues {
                 for q in windows {
                     if q.len() >= 2 {
@@ -371,18 +367,6 @@ mod tests {
         assert_eq!(s.next_for(0, 0, 0), Some(0));
         assert_eq!(s.next_for(0, 0, 0), None, "peer's single block stays home");
         assert_eq!(s.next_for(1, 0, 0), Some(1));
-    }
-
-    #[test]
-    fn migration_can_be_disabled() {
-        let p = program(8, 2);
-        let mut s = TbScheduler::new(&p, 2, 2);
-        s.migration = false;
-        for _ in 0..4 {
-            assert!(s.next_for(0, 0, 0).is_some());
-        }
-        assert_eq!(s.next_for(0, 0, 0), None);
-        assert_eq!(s.remaining(), 4);
     }
 
     #[test]

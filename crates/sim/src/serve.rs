@@ -67,6 +67,7 @@ use std::sync::Arc;
 
 use crate::prog::{Program, RequestId, TbId};
 use crate::sched::TbScheduler;
+use crate::stats::RequestStats;
 use crate::types::{CoreId, Cycle, WindowId};
 
 /// Serving-scheduler admission policy: when does a queued request's
@@ -131,16 +132,6 @@ impl ServePolicy {
             | ServePolicy::PriorityPreempt { slots } => slots,
         }
     }
-}
-
-/// Per-request admission ledgers the injector stamps at phase 0:
-/// admission cycles (first admission survives preemption), terminal
-/// rejection/drop cycles, and preemption counts. All owned by the
-/// system and byte-compared across step modes.
-pub struct AdmissionLedger<'a> {
-    pub admitted: &'a mut [Cycle],
-    pub rejected: &'a mut [Cycle],
-    pub preemptions: &'a mut [u32],
 }
 
 /// Per-block injection target: `(block, relative home core, window)`,
@@ -353,8 +344,8 @@ impl RequestInjector {
         }
     }
 
-    /// Injects `r`'s pending blocks at `base_core` and stamps the
-    /// ledger. A re-admitted preemption victim keeps its first
+    /// Injects `r`'s pending blocks at `base_core` and stamps its
+    /// admission. A re-admitted preemption victim keeps its first
     /// admission cycle and injects only its withdrawn remainder.
     fn admit(
         &mut self,
@@ -362,12 +353,10 @@ impl RequestInjector {
         base_core: usize,
         now: Cycle,
         sched: &mut TbScheduler,
-        ledger: &mut AdmissionLedger,
+        requests: &mut [RequestStats],
     ) {
         self.in_flight += 1;
-        if ledger.admitted[r as usize] == Cycle::MAX {
-            ledger.admitted[r as usize] = now;
-        }
+        requests[r as usize].admitted.get_or_insert(now);
         match self.pending[r as usize].take() {
             Some(rest) => {
                 for &(tb, core, window) in &rest {
@@ -405,19 +394,19 @@ impl RequestInjector {
     }
 
     /// Admits every due request at cycle `now`, pushing its blocks into
-    /// the scheduler and stamping the ledger; overload policies also
-    /// reject, drop or preempt here (phase 0, both step modes, same
-    /// cycles). Returns whether anything was *injected* (the caller
-    /// must then re-arm core wake bounds — newly injected work is
-    /// fetchable *this* cycle).
+    /// the scheduler and stamping its record in `requests` (indexed by
+    /// request id); overload policies also reject, drop or preempt here
+    /// (phase 0, both step modes, same cycles). Returns whether
+    /// anything was *injected* (the caller must then re-arm core wake
+    /// bounds — newly injected work is fetchable *this* cycle).
     pub fn run_admissions(
         &mut self,
         now: Cycle,
         sched: &mut TbScheduler,
-        ledger: &mut AdmissionLedger,
+        requests: &mut [RequestStats],
     ) -> bool {
         if matches!(self.policy, ServePolicy::PriorityPreempt { .. }) {
-            return self.run_priority_admissions(now, sched, ledger);
+            return self.run_priority_admissions(now, sched, requests);
         }
         let mut any = false;
         while let Some(&r) = self.queue.front() {
@@ -428,7 +417,7 @@ impl RequestInjector {
                 break;
             };
             self.queue.pop_front();
-            self.admit(r, base_core, now, sched, ledger);
+            self.admit(r, base_core, now, sched, requests);
             any = true;
         }
         match self.policy {
@@ -449,7 +438,7 @@ impl RequestInjector {
                         continue;
                     }
                     self.queue.remove(i);
-                    ledger.rejected[r as usize] = now;
+                    requests[r as usize].rejected = Some(now);
                     self.blocks_shed += self.plan[r as usize].len() as u64;
                 }
             }
@@ -467,7 +456,7 @@ impl RequestInjector {
                     }
                     if now >= arrival + ttft_deadline {
                         self.queue.remove(i);
-                        ledger.rejected[r as usize] = now;
+                        requests[r as usize].rejected = Some(now);
                         self.blocks_shed += self.plan[r as usize].len() as u64;
                     } else {
                         i += 1;
@@ -487,7 +476,7 @@ impl RequestInjector {
         &mut self,
         now: Cycle,
         sched: &mut TbScheduler,
-        ledger: &mut AdmissionLedger,
+        requests: &mut [RequestStats],
     ) -> bool {
         let mut any = false;
         loop {
@@ -505,11 +494,11 @@ impl RequestInjector {
             let Some(best) = best else { break };
             if let Some(base_core) = self.try_claim_capacity(best) {
                 self.unqueue(best);
-                self.admit(best, base_core, now, sched, ledger);
+                self.admit(best, base_core, now, sched, requests);
                 any = true;
                 continue;
             }
-            if !self.preempt_for(best, sched, ledger) {
+            if !self.preempt_for(best, sched, requests) {
                 break;
             }
             // The freed slot admits `best` on the next loop turn.
@@ -525,7 +514,7 @@ impl RequestInjector {
         &mut self,
         preemptor: RequestId,
         sched: &mut TbScheduler,
-        ledger: &mut AdmissionLedger,
+        requests: &mut [RequestStats],
     ) -> bool {
         let class = self.classes[preemptor as usize];
         let mut victims: Vec<RequestId> = self
@@ -536,11 +525,12 @@ impl RequestInjector {
             .filter(|&v| self.classes[v as usize] < class)
             .collect();
         // Lowest class first; youngest admission (then highest id) on
-        // ties — the cheapest work to redo.
+        // ties — the cheapest work to redo. Every slot occupant has been
+        // admitted, so `admitted` is `Some` throughout.
         victims.sort_by_key(|&v| {
             (
                 self.classes[v as usize],
-                std::cmp::Reverse(ledger.admitted[v as usize]),
+                std::cmp::Reverse(requests[v as usize].admitted),
                 std::cmp::Reverse(v),
             )
         });
@@ -563,7 +553,7 @@ impl RequestInjector {
             );
             self.slots[self.slot_of[v as usize]] = None;
             self.in_flight = self.in_flight.saturating_sub(1);
-            ledger.preemptions[v as usize] += 1;
+            requests[v as usize].preemptions += 1;
             self.requeue(v);
             return true;
         }
@@ -663,29 +653,21 @@ mod tests {
         s
     }
 
-    /// Per-request ledgers for an `n`-request run.
-    struct Ledgers {
-        admitted: Vec<Cycle>,
-        rejected: Vec<Cycle>,
-        preemptions: Vec<u32>,
+    /// Fresh lifecycle records for an `n`-request run.
+    fn records(n: usize) -> Vec<RequestStats> {
+        vec![RequestStats::default(); n]
     }
 
-    impl Ledgers {
-        fn new(n: usize) -> Self {
-            Ledgers {
-                admitted: vec![Cycle::MAX; n],
-                rejected: vec![Cycle::MAX; n],
-                preemptions: vec![0; n],
-            }
-        }
+    fn admitted(reqs: &[RequestStats]) -> Vec<Option<Cycle>> {
+        reqs.iter().map(|r| r.admitted).collect()
+    }
 
-        fn as_mut(&mut self) -> AdmissionLedger<'_> {
-            AdmissionLedger {
-                admitted: &mut self.admitted,
-                rejected: &mut self.rejected,
-                preemptions: &mut self.preemptions,
-            }
-        }
+    fn rejected(reqs: &[RequestStats]) -> Vec<Option<Cycle>> {
+        reqs.iter().map(|r| r.rejected).collect()
+    }
+
+    fn preemptions(reqs: &[RequestStats]) -> Vec<u32> {
+        reqs.iter().map(|r| r.preemptions).collect()
     }
 
     #[test]
@@ -694,16 +676,16 @@ mod tests {
         let mut inj =
             RequestInjector::new(&p, vec![100, 100, 400], ServePolicy::Fcfs, 4, 2).unwrap();
         let mut sched = sched_of(&p, 4, 2);
-        let mut led = Ledgers::new(3);
+        let mut reqs = records(3);
         assert_eq!(inj.next_wake(0), Some(100));
-        assert!(!inj.run_admissions(50, &mut sched, &mut led.as_mut()));
+        assert!(!inj.run_admissions(50, &mut sched, &mut reqs));
         // Both cycle-100 requests admitted together, id order is the
         // queue order; request 2 stays queued.
-        assert!(inj.run_admissions(100, &mut sched, &mut led.as_mut()));
-        assert_eq!(led.admitted, vec![100, 100, Cycle::MAX]);
+        assert!(inj.run_admissions(100, &mut sched, &mut reqs));
+        assert_eq!(admitted(&reqs), vec![Some(100), Some(100), None]);
         assert_eq!(sched.remaining(), 4);
         assert_eq!(inj.next_wake(101), Some(400));
-        assert!(inj.run_admissions(400, &mut sched, &mut led.as_mut()));
+        assert!(inj.run_admissions(400, &mut sched, &mut reqs));
         assert!(inj.drained());
         assert_eq!(inj.next_wake(401), None);
     }
@@ -720,15 +702,15 @@ mod tests {
         )
         .unwrap();
         let mut sched = sched_of(&p, 2, 1);
-        let mut led = Ledgers::new(3);
-        inj.run_admissions(0, &mut sched, &mut led.as_mut());
-        assert_eq!(led.admitted, vec![0, 0, Cycle::MAX]);
+        let mut reqs = records(3);
+        inj.run_admissions(0, &mut sched, &mut reqs);
+        assert_eq!(admitted(&reqs), vec![Some(0), Some(0), None]);
         // Capacity-blocked: no wake bound of its own.
         assert_eq!(inj.next_wake(1), None);
         inj.note_completion(0);
         assert_eq!(inj.next_wake(5), Some(5));
-        inj.run_admissions(5, &mut sched, &mut led.as_mut());
-        assert_eq!(led.admitted[2], 5);
+        inj.run_admissions(5, &mut sched, &mut reqs);
+        assert_eq!(reqs[2].admitted, Some(5));
     }
 
     #[test]
@@ -744,16 +726,16 @@ mod tests {
         )
         .unwrap();
         let mut sched = sched_of(&p, 4, 1);
-        let mut led = Ledgers::new(3);
-        inj.run_admissions(0, &mut sched, &mut led.as_mut());
+        let mut reqs = records(3);
+        inj.run_admissions(0, &mut sched, &mut reqs);
         // Requests 0, 1 take slots 0, 1; request 2 waits.
-        assert_eq!(led.admitted, vec![0, 0, Cycle::MAX]);
+        assert_eq!(admitted(&reqs), vec![Some(0), Some(0), None]);
         assert_eq!(sched.queue_len(0) + sched.queue_len(1), 2, "slot 0");
         assert_eq!(sched.queue_len(2) + sched.queue_len(3), 2, "slot 1");
         // Request 1 completes: its slot (cores 2..4) goes to request 2.
         inj.note_completion(1);
-        inj.run_admissions(7, &mut sched, &mut led.as_mut());
-        assert_eq!(led.admitted[2], 7);
+        inj.run_admissions(7, &mut sched, &mut reqs);
+        assert_eq!(reqs[2].admitted, Some(7));
         assert_eq!(sched.queue_len(2) + sched.queue_len(3), 4, "reused slot 1");
     }
 
@@ -772,20 +754,20 @@ mod tests {
         )
         .unwrap();
         let mut sched = sched_of(&p, 2, 1);
-        let mut led = Ledgers::new(4);
-        assert!(inj.run_admissions(0, &mut sched, &mut led.as_mut()));
-        assert_eq!(led.admitted, vec![0, Cycle::MAX, Cycle::MAX, Cycle::MAX]);
-        assert_eq!(led.rejected, vec![Cycle::MAX, Cycle::MAX, 0, Cycle::MAX]);
+        let mut reqs = records(4);
+        assert!(inj.run_admissions(0, &mut sched, &mut reqs));
+        assert_eq!(admitted(&reqs), vec![Some(0), None, None, None]);
+        assert_eq!(rejected(&reqs), vec![None, None, Some(0), None]);
         // Capacity-blocked, but the wake still covers request 3's
         // arrival: it must be rejected *at* cycle 50.
         assert_eq!(inj.next_wake(1), Some(50));
-        assert!(!inj.run_admissions(50, &mut sched, &mut led.as_mut()));
-        assert_eq!(led.rejected[3], 50);
+        assert!(!inj.run_admissions(50, &mut sched, &mut reqs));
+        assert_eq!(reqs[3].rejected, Some(50));
         // Rejected requests leave the queue: only request 1 waits.
         assert!(!inj.drained());
         inj.note_completion(0);
-        assert!(inj.run_admissions(60, &mut sched, &mut led.as_mut()));
-        assert_eq!(led.admitted[1], 60);
+        assert!(inj.run_admissions(60, &mut sched, &mut reqs));
+        assert_eq!(reqs[1].admitted, Some(60));
         assert!(inj.drained());
     }
 
@@ -806,13 +788,13 @@ mod tests {
         )
         .unwrap();
         let mut sched = sched_of(&p, 2, 1);
-        let mut led = Ledgers::new(2);
-        inj.run_admissions(0, &mut sched, &mut led.as_mut());
-        assert_eq!(led.admitted, vec![0, Cycle::MAX]);
+        let mut reqs = records(2);
+        inj.run_admissions(0, &mut sched, &mut reqs);
+        assert_eq!(admitted(&reqs), vec![Some(0), None]);
         // The wake bound is the queued expiry, not a completion.
         assert_eq!(inj.next_wake(1), Some(100));
-        assert!(!inj.run_admissions(100, &mut sched, &mut led.as_mut()));
-        assert_eq!(led.rejected, vec![Cycle::MAX, 100]);
+        assert!(!inj.run_admissions(100, &mut sched, &mut reqs));
+        assert_eq!(rejected(&reqs), vec![None, Some(100)]);
         assert!(inj.drained(), "dropped requests leave the queue");
     }
 
@@ -831,14 +813,14 @@ mod tests {
         )
         .unwrap();
         let mut sched = sched_of(&p, 2, 1);
-        let mut led = Ledgers::new(2);
-        inj.run_admissions(0, &mut sched, &mut led.as_mut());
+        let mut reqs = records(2);
+        inj.run_admissions(0, &mut sched, &mut reqs);
         inj.note_completion(0);
         // At exactly cycle 100 the slot is free: admission runs before
         // the drop pass, so the request is served.
-        assert!(inj.run_admissions(100, &mut sched, &mut led.as_mut()));
-        assert_eq!(led.admitted[1], 100);
-        assert_eq!(led.rejected[1], Cycle::MAX);
+        assert!(inj.run_admissions(100, &mut sched, &mut reqs));
+        assert_eq!(reqs[1].admitted, Some(100));
+        assert_eq!(reqs[1].rejected, None);
     }
 
     #[test]
@@ -858,19 +840,19 @@ mod tests {
         .with_classes(vec![0, 2])
         .unwrap();
         let mut sched = sched_of(&p, 2, 1);
-        let mut led = Ledgers::new(2);
-        inj.run_admissions(0, &mut sched, &mut led.as_mut());
-        assert_eq!(led.admitted, vec![0, Cycle::MAX]);
+        let mut reqs = records(2);
+        inj.run_admissions(0, &mut sched, &mut reqs);
+        assert_eq!(admitted(&reqs), vec![Some(0), None]);
         assert_eq!(sched.remaining(), 3);
         // Capacity-blocked, but a higher-class arrival is due at 10.
         assert_eq!(inj.next_wake(1), Some(10));
         // Simulate the cores having issued request 0's first block.
         let first = sched.next_for(0, 0, 5).expect("block ready");
         assert_eq!(first, 0);
-        assert!(inj.run_admissions(10, &mut sched, &mut led.as_mut()));
+        assert!(inj.run_admissions(10, &mut sched, &mut reqs));
         // Request 1's 3 blocks are in; request 0's 2 unissued ones out.
-        assert_eq!(led.admitted, vec![0, 10]);
-        assert_eq!(led.preemptions, vec![1, 0]);
+        assert_eq!(admitted(&reqs), vec![Some(0), Some(10)]);
+        assert_eq!(preemptions(&reqs), vec![1, 0]);
         assert_eq!(sched.remaining(), 3);
         assert!(!inj.drained(), "the victim re-queued");
         // No second preemption: the occupant now outranks the victim.
@@ -879,8 +861,12 @@ mod tests {
         // the withdrawn remainder (keeping its first admission cycle).
         inj.note_completion(1);
         assert_eq!(inj.next_wake(20), Some(20));
-        assert!(inj.run_admissions(20, &mut sched, &mut led.as_mut()));
-        assert_eq!(led.admitted, vec![0, 10], "first admission sticks");
+        assert!(inj.run_admissions(20, &mut sched, &mut reqs));
+        assert_eq!(
+            admitted(&reqs),
+            vec![Some(0), Some(10)],
+            "first admission sticks"
+        );
         assert_eq!(sched.remaining(), 5);
         assert!(inj.drained());
     }
@@ -901,15 +887,15 @@ mod tests {
         .with_classes(vec![0, 1])
         .unwrap();
         let mut sched = sched_of(&p, 2, 1);
-        let mut led = Ledgers::new(2);
-        inj.run_admissions(0, &mut sched, &mut led.as_mut());
+        let mut reqs = records(2);
+        inj.run_admissions(0, &mut sched, &mut reqs);
         assert_eq!(sched.next_for(0, 0, 1), Some(0), "block issued");
-        assert!(!inj.run_admissions(10, &mut sched, &mut led.as_mut()));
-        assert_eq!(led.admitted[1], Cycle::MAX);
-        assert_eq!(led.preemptions, vec![0, 0]);
+        assert!(!inj.run_admissions(10, &mut sched, &mut reqs));
+        assert_eq!(reqs[1].admitted, None);
+        assert_eq!(preemptions(&reqs), vec![0, 0]);
         inj.note_completion(0);
-        assert!(inj.run_admissions(12, &mut sched, &mut led.as_mut()));
-        assert_eq!(led.admitted[1], 12);
+        assert!(inj.run_admissions(12, &mut sched, &mut reqs));
+        assert_eq!(reqs[1].admitted, Some(12));
     }
 
     #[test]

@@ -223,8 +223,10 @@ pub struct RequestStats {
     /// [`crate::serve::ServePolicy::PriorityPreempt`]).
     #[serde(default)]
     pub preemptions: u32,
-    /// Serving priority class (higher = more urgent; 0 for closed runs
-    /// and classless serve sets).
+    /// Serving priority class (higher = more urgent): the attached
+    /// injector's class, 0 for closed runs and classless serve sets.
+    /// The simulator never sees a closed mix's classes; the experiment
+    /// layer reports them from the mix.
     #[serde(default)]
     pub class: u8,
     /// LLC counters attributed to this request, summed over slices.

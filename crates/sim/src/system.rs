@@ -29,7 +29,7 @@ use crate::pool::ReqPool;
 use crate::prog::{FlatProgram, Program};
 use crate::sched::TbScheduler;
 use crate::serve::RequestInjector;
-use crate::stats::SimStats;
+use crate::stats::{RequestStats, SimStats};
 use crate::types::{line_index, Addr, Cycle, SliceId};
 
 /// Outcome of [`System::run`].
@@ -81,8 +81,14 @@ pub enum StepMode {
 /// `ThrottleKind` in the `llamcat` crate); any other
 /// [`RequestArbiter`] / [`ThrottleController`] plugs in the same way.
 ///
-/// `Clone` is a deep copy of the whole machine — see
-/// [`System::snapshot`] for the supported checkpoint/fork workflow.
+/// Each serving request has one live [`RequestStats`] record, updated
+/// in place as the request arrives, is admitted, rejected or preempted,
+/// retires its first block and completes; [`System::collect_stats`]
+/// reports a copy.
+///
+/// `Clone` is a deep copy of the whole machine, except the immutable
+/// trace, which is shared — see [`System::snapshot`] for the supported
+/// checkpoint/fork workflow.
 #[derive(Clone)]
 pub struct System<A, T>
 where
@@ -90,13 +96,11 @@ where
     T: ThrottleController,
 {
     cfg: SystemConfig,
-    /// The scenario's instruction streams and mapping. Shared: cloning
-    /// (and therefore [`System::snapshot`] / [`SystemState::fork`])
-    /// bumps a refcount instead of copying — every fork of one scenario
-    /// reads the same decoded trace instead of a private copy.
-    program: Arc<Program>,
-    /// Dense issue-path view of `program` (see [`FlatProgram`]).
-    /// Shared across forks like `program`.
+    /// The scenario's instruction streams and request tags (see
+    /// [`FlatProgram`]), the only view of the trace the run reads.
+    /// Shared: cloning (and therefore [`System::snapshot`] /
+    /// [`SystemState::fork`]) bumps a refcount instead of copying — every
+    /// fork of one scenario reads the same decoded trace.
     flat: Arc<FlatProgram>,
     cores: Vec<VectorCore>,
     slices: Vec<LlcSlice<A>>,
@@ -137,27 +141,14 @@ where
     /// capacity-blocked, or closed). Re-armed after every admission
     /// sweep and at every request completion.
     inject_wake: Cycle,
-    /// Per-serving-request completion tracking (indexed by request id).
-    req_blocks_total: Vec<u64>,
-    req_blocks_done: Vec<u64>,
-    req_arrivals: Vec<Cycle>,
-    req_completed: Vec<bool>,
-    req_completion: Vec<Cycle>,
-    /// Admission cycle per request (`Cycle::MAX` = not yet admitted;
-    /// closed runs admit at arrival by definition).
-    req_admitted: Vec<Cycle>,
-    /// Cycle of each request's first block retirement (`Cycle::MAX`
-    /// until one retires) — the TTFT numerator.
-    req_first_retire: Vec<Cycle>,
-    /// Terminal rejection/drop cycle per request (`Cycle::MAX` = never
-    /// rejected). Stamped by the injector's admission sweep under
-    /// [`crate::serve::ServePolicy::RejectAboveQueue`] and
-    /// [`crate::serve::ServePolicy::DeadlineDrop`].
-    req_rejected: Vec<Cycle>,
-    /// Times each request was preempted (its unissued blocks withdrawn
-    /// back to the admission queue) under
-    /// [`crate::serve::ServePolicy::PriorityPreempt`].
-    req_preemptions: Vec<u32>,
+    /// The live lifecycle record of each serving request, indexed by
+    /// request id: arrival, admission, rejection and preemptions
+    /// (stamped by the injector at phase 0), first retirement and
+    /// completion (advanced by [`System::note_retirements`]). Closed
+    /// runs admit at arrival by definition. The per-request LLC and KV
+    /// counters stay with their slices and tier until
+    /// [`System::collect_stats`] folds them in.
+    requests: Vec<RequestStats>,
     /// Thread blocks in the program, total and retired so far. Together
     /// with the injector's shed count these give [`System::is_done`] an
     /// O(1) reject path: the machine cannot have drained while a block
@@ -176,11 +167,12 @@ where
 /// An owned, self-contained copy of a [`System`] frozen mid-run.
 ///
 /// Captures every component — cores, scheduler, L1 miss tables, NoC
-/// lanes, LLC slices with their MSHR files and arbiter state, DRAM
-/// timing registers, the KV tier, the request injector, the throttle
-/// controller, and the request arena — so that a forked system resumed
-/// with [`System::run_with_mode`] is byte-identical to the straight-line
-/// run, in both [`StepMode`]s (`tests/snapshot_equiv.rs` pins this).
+/// wheels, LLC slices with their MSHR files and arbiter state, DRAM
+/// timing registers, the KV tier, the request injector, the per-request
+/// lifecycle records, the throttle controller, and the request arena —
+/// so that a forked system resumed with [`System::run_with_mode`] is
+/// byte-identical to the straight-line run, in both [`StepMode`]s
+/// (`tests/snapshot_equiv.rs` pins this).
 ///
 /// Obtain one with [`System::snapshot`]; rewind a live system with
 /// [`System::restore`]; spawn independent continuations with
@@ -209,12 +201,6 @@ where
     /// continuation per experiment arm.
     pub fn fork(&self) -> System<A, T> {
         (*self.state).clone()
-    }
-
-    /// Consumes the snapshot into a system without the defensive copy
-    /// (for the last — or only — fork).
-    pub fn into_system(self) -> System<A, T> {
-        *self.state
     }
 }
 
@@ -255,6 +241,10 @@ where
 impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
     /// Builds a system running `program` with the given policies.
     ///
+    /// The system keeps only what the run reads of `program` — the
+    /// scheduler's queues, the [`FlatProgram`] and the per-request
+    /// records — and drops the rest.
+    ///
     /// `make_arbiter` is invoked once per slice so each slice owns an
     /// independent arbiter instance.
     pub fn new(
@@ -277,12 +267,20 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
         let sched = TbScheduler::new(&program, cfg.num_cores, cfg.core.num_inst_windows);
         let dram = DramSystem::new(cfg.dram, MappingScheme::RoBaRaCoCh);
         let n = cfg.num_cores;
-        let req_blocks_total = program.blocks_per_request();
-        let req_arrivals = program.request_arrivals();
-        // A request with no blocks (possible in sparse tags) is
-        // trivially complete from the start.
-        let req_completed: Vec<bool> = req_blocks_total.iter().map(|&b| b == 0).collect();
-        let n_req = req_blocks_total.len();
+        let requests: Vec<RequestStats> = program
+            .blocks_per_request()
+            .into_iter()
+            .zip(program.request_arrivals())
+            .map(|(blocks_total, arrival)| RequestStats {
+                blocks_total,
+                arrival,
+                // A request with no blocks (possible in sparse tags) is
+                // trivially complete from the start.
+                completed: blocks_total == 0,
+                admitted: Some(arrival),
+                ..RequestStats::default()
+            })
+            .collect();
         // In-flight requests are bounded by the per-core L1 miss
         // tables (loads) plus posted stores in transit through the NoC
         // and slice queues; 2x headroom keeps the arena from growing
@@ -298,12 +296,11 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
             s.reserve_ingress(in_flight_bound);
         }
         let flat = Arc::new(FlatProgram::new(&program));
-        let blocks_total: u64 = req_blocks_total.iter().sum();
+        let blocks_total: u64 = requests.iter().map(|r| r.blocks_total).sum();
         System {
             core_period_ps: cfg.core_period_ps(),
             dram_period_ps: cfg.dram.timing.tck_ps,
             cfg,
-            program: Arc::new(program),
             flat,
             cores,
             slices,
@@ -323,17 +320,9 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
             kv: None,
             injector: None,
             inject_wake: Cycle::MAX,
-            req_admitted: req_arrivals.clone(),
-            req_first_retire: vec![Cycle::MAX; n_req],
-            req_rejected: vec![Cycle::MAX; n_req],
-            req_preemptions: vec![0; n_req],
+            requests,
             blocks_total,
             blocks_retired: 0,
-            req_blocks_total,
-            req_blocks_done: vec![0; n_req],
-            req_arrivals,
-            req_completed,
-            req_completion: vec![0; n_req],
             progress_scratch: vec![0; n],
             c_mem_scratch: vec![0; n],
             c_idle_scratch: vec![0; n],
@@ -376,8 +365,9 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
     /// Switches the run to **open-system serving**: withholds every
     /// thread block from the scheduler and hands release authority to
     /// `injector`, which admits requests mid-run under its serving
-    /// policy. Request arrivals (for stats and TTFT) become the
-    /// injector's schedule. Must be called before the first tick.
+    /// policy. Each request's arrival (for stats and TTFT) and class
+    /// become the injector's, and its admission waits for the injector.
+    /// Must be called before the first tick.
     ///
     /// The program must be an *open* serve set — request-tagged,
     /// arrival-free, with home cores relative to the injector's slot
@@ -386,13 +376,15 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
         assert_eq!(self.cycle, 0, "attach the injector before running");
         assert_eq!(
             injector.num_requests(),
-            self.req_blocks_total.len(),
+            self.requests.len(),
             "injector and program disagree on the request count"
         );
         self.sched.withhold_all();
-        self.req_arrivals = injector.arrivals().to_vec();
-        for a in self.req_admitted.iter_mut() {
-            *a = Cycle::MAX;
+        let schedule = injector.arrivals().iter().zip(injector.classes());
+        for (req, (&arrival, &class)) in self.requests.iter_mut().zip(schedule) {
+            req.arrival = arrival;
+            req.admitted = None;
+            req.class = class;
         }
         self.inject_wake = 0;
         self.injector = Some(injector);
@@ -407,12 +399,7 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
             self.inject_wake = Cycle::MAX;
             return false;
         };
-        let mut ledger = crate::serve::AdmissionLedger {
-            admitted: &mut self.req_admitted,
-            rejected: &mut self.req_rejected,
-            preemptions: &mut self.req_preemptions,
-        };
-        let admitted = inj.run_admissions(now, &mut self.sched, &mut ledger);
+        let admitted = inj.run_admissions(now, &mut self.sched, &mut self.requests);
         // Next arrival-driven admission opportunity; a capacity-blocked
         // queue re-arms at the completion that frees the capacity.
         self.inject_wake = inj.next_wake(now + 1).unwrap_or(Cycle::MAX);
@@ -426,7 +413,7 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
     pub fn attach_kv(&mut self, cfg: KvTierConfig) {
         assert_eq!(self.cycle, 0, "attach the KV tier before running");
         let mut tier = KvTier::new(cfg);
-        tier.reserve_requests(self.req_blocks_total.len().max(1));
+        tier.reserve_requests(self.requests.len().max(1));
         self.kv = Some(tier);
     }
 
@@ -583,10 +570,9 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
     fn debug_assert_conserved(&self) {
         debug_assert_eq!(self.pool.live(), 0, "live ReqPool handles at completion");
         debug_assert!(
-            self.req_completed
+            self.requests
                 .iter()
-                .zip(&self.req_rejected)
-                .all(|(&done, &rejected)| done || rejected != Cycle::MAX),
+                .all(|r| r.completed || r.rejected.is_some()),
             "a request neither completed nor was rejected"
         );
     }
@@ -594,8 +580,8 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
     /// The budget-exhausted outcome, carrying per-request completion.
     pub(crate) fn cycle_limit_outcome(&self) -> RunOutcome {
         RunOutcome::CycleLimit {
-            requests_completed: self.req_completed.iter().filter(|&&c| c).count(),
-            requests_total: self.req_completed.len(),
+            requests_completed: self.requests.iter().filter(|r| r.completed).count(),
+            requests_total: self.requests.len(),
         }
     }
 
@@ -607,19 +593,18 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
         while let Some(tb) = self.cores[core].retired.pop() {
             self.tb_retired = true;
             self.blocks_retired += 1;
-            let r = self.program.request_of(tb) as usize;
-            self.req_blocks_done[r] += 1;
-            if self.req_first_retire[r] == Cycle::MAX {
-                self.req_first_retire[r] = now;
-            }
-            if self.req_blocks_done[r] == self.req_blocks_total[r] {
-                self.req_completed[r] = true;
-                self.req_completion[r] = now;
+            let r = self.flat.request_of(tb);
+            let req = &mut self.requests[r as usize];
+            req.blocks_completed += 1;
+            req.first_retire.get_or_insert(now);
+            if req.blocks_completed == req.blocks_total {
+                req.completed = true;
+                req.completion_cycle = now;
                 if let Some(inj) = self.injector.as_mut() {
                     // The completion frees admission capacity; the
                     // earliest cycle the freed capacity can admit is the
                     // next one (this cycle's phase 0 already ran).
-                    inj.note_completion(r as u32);
+                    inj.note_completion(r);
                     if !inj.drained() {
                         self.inject_wake = self.inject_wake.min(now + 1);
                     }
@@ -1164,24 +1149,7 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
             }
         }
         st.tb_migrations = self.sched.migrations();
-        let classes = self.injector.as_ref().map(|i| i.classes());
-        st.requests = (0..self.req_blocks_total.len())
-            .map(|r| crate::stats::RequestStats {
-                blocks_total: self.req_blocks_total[r],
-                blocks_completed: self.req_blocks_done[r],
-                arrival: self.req_arrivals[r],
-                completed: self.req_completed[r],
-                completion_cycle: self.req_completion[r],
-                admitted: (self.req_admitted[r] != Cycle::MAX).then_some(self.req_admitted[r]),
-                first_retire: (self.req_first_retire[r] != Cycle::MAX)
-                    .then_some(self.req_first_retire[r]),
-                rejected: (self.req_rejected[r] != Cycle::MAX).then_some(self.req_rejected[r]),
-                preemptions: self.req_preemptions[r],
-                class: classes.map_or(0, |c| c[r]),
-                llc: crate::stats::RequestLlcStats::default(),
-                kv: crate::stats::RequestKvStats::default(),
-            })
-            .collect();
+        st.requests = self.requests.clone();
         for s in &self.slices {
             for (r, rs) in s.request_stats.iter().enumerate() {
                 st.requests[r].llc.merge(rs);

@@ -87,10 +87,6 @@ impl RequestArbiter for RecordingArbiter {
         self.model.borrow_mut().remove(idx);
         Some(idx)
     }
-
-    fn name(&self) -> &'static str {
-        "recording"
-    }
 }
 
 // Random request streams + random mid-queue selections: the

@@ -118,10 +118,6 @@ impl ThrottleController for PeriodicThrottle {
     fn next_event(&self, _now: Cycle) -> Option<Cycle> {
         Some(self.next)
     }
-
-    fn name(&self) -> &'static str {
-        "periodic-recorder"
-    }
 }
 
 fn run_recorded(

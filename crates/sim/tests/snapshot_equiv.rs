@@ -256,10 +256,6 @@ impl RequestArbiter for Lifo {
     fn next_event(&self, _now: Cycle) -> Option<Cycle> {
         None // state changes only at `select`, never by ticking
     }
-
-    fn name(&self) -> &'static str {
-        "lifo"
-    }
 }
 
 #[test]

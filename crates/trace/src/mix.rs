@@ -144,11 +144,6 @@ impl WorkloadMix {
         self
     }
 
-    /// The per-request class vector, in request order.
-    pub fn classes(&self) -> Vec<u8> {
-        self.requests.iter().map(|r| r.class).collect()
-    }
-
     /// Stable label: the requests' labels and sequence lengths joined,
     /// prefixed with the assignment discipline for multi-tenant mixes.
     pub fn label(&self) -> String {

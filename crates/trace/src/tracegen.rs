@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 use llamcat_sim::prog::{Instr, Program, ThreadBlock};
 
-use crate::mapping::{Dim, Level, LoopKind, Mapping, TbOrder};
+use crate::mapping::{Dim, Level, LoopKind, Mapping};
 use crate::workload::{LogitOp, ELEM_BYTES};
 
 /// Trace-generation parameters.
@@ -198,13 +198,6 @@ pub fn generate_default(op: &LogitOp, cfg: &TraceGenConfig) -> (Program, TraceMe
     generate(op, &mapping, cfg)
 }
 
-/// Generate with the round-robin GInner mapping (the non-spatial
-/// alternative dataflow).
-pub fn generate_round_robin(op: &LogitOp, cfg: &TraceGenConfig) -> (Program, TraceMeta) {
-    let mapping = crate::mapping::logit_mapping(op, 32, TbOrder::GInner);
-    generate(op, &mapping, cfg)
-}
-
 /// Walks the (H, G, L-tile) iteration space in the order given by the
 /// L2-level loop list.
 fn iterate(
@@ -318,7 +311,7 @@ pub fn push_vector_accesses(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::logit_mapping;
+    use crate::mapping::{logit_mapping, TbOrder};
     use llamcat_sim::types::LINE_BYTES;
     use std::collections::HashSet;
 

@@ -164,7 +164,7 @@ proptest! {
                 ctl.tick(&inputs, &mut max_tb);
                 for &m in &max_tb {
                     prop_assert!(m >= 1 && m <= windows,
-                        "{}: produced illegal limit {m}", ctl.name());
+                        "{}: produced illegal limit {m}", spec.label());
                 }
             }
         }
