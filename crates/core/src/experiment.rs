@@ -122,6 +122,9 @@ pub struct Experiment {
     pub kv: Option<KvSpec>,
     pub policy: PolicySpec,
     pub config: SystemConfig,
+    /// Trace generation; the trace is laid over `tracegen.num_cores`
+    /// cores, which every constructor and [`Experiment::config`] keep
+    /// equal to `config.num_cores`.
     pub tracegen: TraceGenConfig,
     /// Dataflow layout (paper default: output-partitioned pair streams,
     /// [`Layout::PairStream`]).
@@ -239,11 +242,8 @@ impl Experiment {
         self
     }
 
-    /// Composes the serve scenario's trace and its request injector.
-    fn serve_program(
-        &self,
-        spec: &ServeSpec,
-    ) -> Result<(Program, u64, RequestInjector), ExperimentError> {
+    /// Composes the serve scenario's trace, with its cycle budget.
+    fn serve_program(&self, spec: &ServeSpec) -> Result<(Program, u64), ExperimentError> {
         spec.validate(self.config.num_cores)
             .map_err(ExperimentError::InvalidServe)?;
         let requests: Vec<Arc<dyn Workload>> =
@@ -261,29 +261,38 @@ impl Experiment {
                 workload: spec.label(),
             });
         }
-        let arrivals = spec.request_arrivals();
-        let last_arrival = arrivals.last().copied().unwrap_or(0);
+        let last_arrival = spec.request_arrivals().last().copied().unwrap_or(0);
         let budget = self.cycle_budget(last_arrival, meta.total_load_bytes)?;
-        let mut injector = RequestInjector::new(
-            &program,
-            arrivals,
+        Ok((program, budget))
+    }
+
+    /// The serve scenario's request injector over its composed trace.
+    fn serve_injector(
+        &self,
+        spec: &ServeSpec,
+        program: &Program,
+    ) -> Result<RequestInjector, ExperimentError> {
+        let injector = RequestInjector::new(
+            program,
+            spec.request_arrivals(),
             spec.scheduler.to_sim(),
             self.config.num_cores,
             self.config.core.num_inst_windows,
         )
         .map_err(ExperimentError::InvalidServe)?;
-        if !spec.classes.is_empty() {
-            injector = injector
-                .with_classes(spec.padded_classes())
-                .map_err(ExperimentError::InvalidServe)?;
+        if spec.classes.is_empty() {
+            return Ok(injector);
         }
-        Ok((program, budget, injector))
+        injector
+            .with_classes(spec.padded_classes())
+            .map_err(ExperimentError::InvalidServe)
     }
 
-    fn checked_program(&self) -> Result<(Program, u64, Option<RequestInjector>), ExperimentError> {
+    /// Validates the experiment's trace inputs and generates its trace,
+    /// with the run's cycle budget.
+    fn checked_program(&self) -> Result<(Program, u64), ExperimentError> {
         if let Some(spec) = &self.serve {
-            let (program, budget, injector) = self.serve_program(spec)?;
-            return Ok((program, budget, Some(injector)));
+            return self.serve_program(spec);
         }
         if let Some(mix) = &self.mix {
             let (program, meta) = mix
@@ -296,32 +305,22 @@ impl Experiment {
             }
             let latest_arrival = mix.requests.iter().map(|r| r.arrival).max().unwrap_or(0);
             let budget = self.cycle_budget(latest_arrival, meta.total_load_bytes)?;
-            return Ok((program, budget, None));
+            return Ok((program, budget));
         }
         self.workload
             .validate()
             .map_err(ExperimentError::InvalidWorkload)?;
-        let shape = self.workload.shape();
-        if !shape.seq_len.is_multiple_of(self.l_tile.max(1)) || self.l_tile == 0 {
-            return Err(ExperimentError::InvalidMapping(format!(
-                "l_tile {} must divide seq_len {}",
-                self.l_tile, shape.seq_len
-            )));
-        }
-        let mapping = self
+        let (program, meta) = self
             .workload
-            .mapping(self.layout, self.l_tile, self.config.num_cores);
-        mapping
-            .validate(&shape)
+            .lower(self.layout, self.l_tile, &self.tracegen)
             .map_err(ExperimentError::InvalidMapping)?;
-        let (program, meta) = self.workload.generate(&mapping, &self.tracegen);
         if meta.total_load_bytes == 0 {
             return Err(ExperimentError::EmptyTrace {
                 workload: self.workload.label(),
             });
         }
         let budget = self.cycle_budget(0, meta.total_load_bytes)?;
-        Ok((program, budget, None))
+        Ok((program, budget))
     }
 
     /// The run's cycle budget: the explicit `max_cycles`, or one derived
@@ -354,7 +353,11 @@ impl Experiment {
         if let Some(kv) = &self.kv {
             kv.validate().map_err(ExperimentError::InvalidKv)?;
         }
-        let (program, budget, injector) = self.checked_program()?;
+        let (program, budget) = self.checked_program()?;
+        let injector = match &self.serve {
+            Some(spec) => Some(self.serve_injector(spec, &program)?),
+            None => None,
+        };
         let mut system = System::new(
             self.config,
             program,

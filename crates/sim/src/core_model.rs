@@ -248,7 +248,7 @@ impl VectorCore {
         let n = self.windows.len();
         for k in 0..n {
             let wi = (self.last_issued + k) % n;
-            if let WindowIssue::Issued = self.try_issue_window(wi, now, program, pool) {
+            if self.try_issue_window(wi, now, program, pool) {
                 self.last_issued = wi;
                 return IssueResult::Issued;
             }
@@ -258,61 +258,60 @@ impl VectorCore {
         IssueResult::AllBlockedOnMemory
     }
 
+    /// Issues window `wi`'s next instruction if it can; returns whether
+    /// one issued.
     fn try_issue_window(
         &mut self,
         wi: usize,
         now: Cycle,
         program: &FlatProgram,
         pool: &mut ReqPool,
-    ) -> WindowIssue {
+    ) -> bool {
         let w = self.windows[wi];
         let Some(tb) = w.tb() else {
-            return WindowIssue::Empty;
+            return false;
         };
         if w.pc == NONE32 {
             // Implicit end-of-block barrier.
-            return WindowIssue::MemoryWait;
+            return false;
         }
         let instrs = program.block(tb);
         let request = program.request_of(tb);
         if w.pc as usize >= instrs.len() {
             // Mark completed-pending-loads; retired next tick.
             self.windows[wi].pc = NONE32;
-            return if w.outstanding == 0 {
+            if w.outstanding == 0 {
                 self.retire_pending = true;
-                WindowIssue::Empty
-            } else {
-                WindowIssue::MemoryWait
-            };
+            }
+            return false;
         }
         match instrs[w.pc as usize] {
             Instr::Compute { cycles } => {
                 self.compute_busy_until = now + cycles as u64;
                 self.windows[wi].pc += 1;
-                WindowIssue::Issued
+                true
             }
             Instr::Barrier => {
-                if w.outstanding == 0 {
+                let drained = w.outstanding == 0;
+                if drained {
                     self.windows[wi].pc += 1;
-                    WindowIssue::Issued
-                } else {
-                    WindowIssue::MemoryWait
                 }
+                drained
             }
             Instr::Load { addr, bytes } => {
                 if self.issue_load(wi, addr, bytes, now, request, pool) {
                     self.windows[wi].pc += 1;
                     self.stats.loads += 1;
-                    WindowIssue::Issued
+                    true
                 } else {
-                    WindowIssue::MemoryWait
+                    false
                 }
             }
             Instr::Store { addr, bytes } => {
                 self.issue_store(addr, bytes, now, request, pool);
                 self.windows[wi].pc += 1;
                 self.stats.stores += 1;
-                WindowIssue::Issued
+                true
             }
         }
     }
@@ -494,13 +493,6 @@ impl VectorCore {
             self.stats.active_cycles += cycles;
         }
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WindowIssue {
-    Issued,
-    MemoryWait,
-    Empty,
 }
 
 #[cfg(test)]

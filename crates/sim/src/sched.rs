@@ -43,6 +43,16 @@ pub struct TbScheduler {
     migrations: u64,
 }
 
+/// The window whose chunk takes each of a core's `len` ordered blocks:
+/// the list is split into `num_windows` contiguous chunks of
+/// `len.div_ceil(num_windows)` blocks, so every window streams its own
+/// stretch of the core's stream. The one chunking rule of both the
+/// scheduler and the request injector.
+pub(crate) fn window_chunks(len: usize, num_windows: usize) -> impl Iterator<Item = WindowId> {
+    let chunk = len.div_ceil(num_windows).max(1);
+    (0..len).map(move |i| (i / chunk).min(num_windows - 1))
+}
+
 impl TbScheduler {
     /// Splits each core's (ordered) block list into `num_windows`
     /// contiguous chunks.
@@ -55,11 +65,9 @@ impl TbScheduler {
         let queues: Vec<Vec<VecDeque<TbId>>> = per_core
             .into_iter()
             .map(|list| {
-                let n = list.len();
-                let chunk = n.div_ceil(num_windows).max(1);
                 let mut chunks: Vec<VecDeque<TbId>> = vec![VecDeque::new(); num_windows];
-                for (i, tb) in list.into_iter().enumerate() {
-                    chunks[(i / chunk).min(num_windows - 1)].push_back(tb);
+                for (&tb, window) in list.iter().zip(window_chunks(list.len(), num_windows)) {
+                    chunks[window].push_back(tb);
                 }
                 chunks
             })

@@ -66,7 +66,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::prog::{Program, RequestId, TbId};
-use crate::sched::TbScheduler;
+use crate::sched::{window_chunks, TbScheduler};
 use crate::stats::RequestStats;
 use crate::types::{CoreId, Cycle, WindowId};
 
@@ -186,9 +186,10 @@ pub struct RequestInjector {
 impl RequestInjector {
     /// Builds the injector for `program` with the given arrival
     /// schedule. `num_cores` / `num_windows` must match the system the
-    /// injector will attach to; the per-request chunking mirrors
-    /// [`TbScheduler::new`] so an FCFS-admitted request is queued
-    /// exactly as a closed program would queue it.
+    /// injector will attach to; each request is chunked over the
+    /// windows by the rule [`TbScheduler::new`] uses, so an
+    /// FCFS-admitted request is queued exactly as a closed program
+    /// would queue it.
     pub fn new(
         program: &Program,
         arrivals: Vec<Cycle>,
@@ -233,8 +234,7 @@ impl RequestInjector {
             }
         };
         // Group each request's blocks per relative home core, then
-        // split each core's list into `num_windows` contiguous chunks —
-        // the same strided-window layout TbScheduler::new builds.
+        // chunk each core's list over the windows.
         let mut per_core: Vec<Vec<Vec<TbId>>> = vec![vec![Vec::new(); cores_per_request]; n];
         for (tb, &core) in program.assignment.iter().enumerate() {
             if core >= cores_per_request {
@@ -249,10 +249,8 @@ impl RequestInjector {
         for (r, cores) in per_core.into_iter().enumerate() {
             let mut p = InjectPlan::new();
             for (core, list) in cores.into_iter().enumerate() {
-                let len = list.len();
-                let chunk = len.div_ceil(num_windows).max(1);
-                for (i, tb) in list.into_iter().enumerate() {
-                    p.push((tb, core, (i / chunk).min(num_windows - 1)));
+                for (&tb, window) in list.iter().zip(window_chunks(list.len(), num_windows)) {
+                    p.push((tb, core, window));
                 }
             }
             if p.is_empty() {

@@ -169,7 +169,9 @@ fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tracegen::{generate_default, TraceGenConfig};
+    use crate::mapping::Layout;
+    use crate::tracegen::TraceGenConfig;
+    use crate::workloads::{LogitWorkload, Workload};
 
     fn sample() -> TraceFile {
         let op = LogitOp {
@@ -178,7 +180,9 @@ mod tests {
             seq_len: 64,
             head_dim: 128,
         };
-        let (program, meta) = generate_default(&op, &TraceGenConfig::default());
+        let cfg = TraceGenConfig::default();
+        let mapping = Layout::Spatial.mapping(&op, 32, cfg.num_cores);
+        let (program, meta) = LogitWorkload::new(op).generate(&mapping, &cfg);
         TraceFile { op, meta, program }
     }
 
@@ -213,9 +217,7 @@ mod tests {
     /// A request-tagged mix trace (tags, staggered arrivals) through
     /// the container.
     fn tagged_sample() -> TraceFile {
-        use crate::mapping::Layout;
         use crate::mix::{MixAssignment, WorkloadMix};
-        use crate::workloads::LogitWorkload;
         use std::sync::Arc;
 
         let op = LogitOp {

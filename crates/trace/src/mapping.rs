@@ -198,21 +198,56 @@ pub enum Layout {
     /// Spatial G (+ L segments) across cores: all cores stream one
     /// shared K tile in lockstep (tightest possible sharing).
     Spatial,
-    /// Round-robin blocks over cores, sharers adjacent (G innermost).
+    /// Round-robin blocks over cores, sharers adjacent (G innermost):
+    /// the G query heads sharing one K tile become *consecutive* thread
+    /// blocks, landing on different cores at the same time, which is
+    /// what lets the LLC capture GQA locality through hits and MSHR
+    /// merges.
     RoundRobinGInner,
-    /// Round-robin blocks, naive L-innermost order.
+    /// Round-robin blocks, naive L-innermost order: each (h, g) pair
+    /// streams all of K before moving on.
     RoundRobinLInner,
 }
 
 impl Layout {
     /// Builds the loop nest of this layout for a {H, G, L, D} iteration
     /// space (`op` carries the dimensions; the nest is workload-agnostic).
+    ///
+    /// Every layout shares the inner levels of the paper's hand-written
+    /// mapping: an L1-level temporal L tile of `l_tile` tokens (one
+    /// thread block covers `l_tile * 2 / 64` output lines) and a
+    /// vector-level spatial D loop over the full head dimension. The
+    /// layouts differ only in the L2-level loops, which order the
+    /// thread blocks and spread them over `num_cores` cores.
+    ///
+    /// Panics if `l_tile` does not divide the sequence length.
     pub fn mapping(&self, op: &LogitOp, l_tile: usize, num_cores: usize) -> Mapping {
-        match self {
-            Layout::PairStream => logit_mapping_pair_stream(op, l_tile),
-            Layout::Spatial => logit_mapping_spatial(op, l_tile, num_cores),
-            Layout::RoundRobinGInner => logit_mapping(op, l_tile, TbOrder::GInner),
-            Layout::RoundRobinLInner => logit_mapping(op, l_tile, TbOrder::LInner),
+        assert!(
+            op.seq_len.is_multiple_of(l_tile),
+            "l_tile must divide seq_len"
+        );
+        let n_ltiles = op.seq_len / l_tile;
+        let l2 = match self {
+            Layout::PairStream => pair_stream_l2(op, n_ltiles),
+            Layout::Spatial => spatial_l2(op, n_ltiles, num_cores),
+            Layout::RoundRobinGInner => vec![
+                temporal(Dim::H, op.heads),
+                temporal(Dim::L, n_ltiles),
+                temporal(Dim::G, op.group_size),
+            ],
+            Layout::RoundRobinLInner => vec![
+                temporal(Dim::H, op.heads),
+                temporal(Dim::G, op.group_size),
+                temporal(Dim::L, n_ltiles),
+            ],
+        };
+        Mapping {
+            levels: vec![
+                (Level::Dram, vec![]),
+                (Level::L2, l2),
+                (Level::L1, vec![temporal(Dim::L, l_tile)]),
+                (Level::Vector, vec![spatial(Dim::D, op.head_dim)]),
+            ],
         }
     }
 
@@ -225,8 +260,24 @@ impl Layout {
     ];
 }
 
-/// Builds the output-partitioned "pair-stream" dataflow — the layout the
-/// paper's evaluation workload uses.
+fn temporal(dim: Dim, extent: usize) -> Loop {
+    Loop {
+        dim,
+        extent,
+        kind: LoopKind::Temporal,
+    }
+}
+
+fn spatial(dim: Dim, extent: usize) -> Loop {
+    Loop {
+        dim,
+        extent,
+        kind: LoopKind::Spatial,
+    }
+}
+
+/// L2 loops of the output-partitioned "pair-stream" dataflow — the
+/// layout the paper's evaluation workload uses.
 ///
 /// The H·G (KV-head, query-head) output pairs are distributed round-robin
 /// over the cores; each pair is an independent temporal stream of
@@ -241,86 +292,26 @@ impl Layout {
 /// per core, no false sharing) that "performs well on the unoptimized
 /// architecture" (Section 6.2.2) yet exposes exactly the contention
 /// LLaMCAT targets.
-pub fn logit_mapping_pair_stream(op: &LogitOp, l_tile: usize) -> Mapping {
-    assert!(
-        op.seq_len.is_multiple_of(l_tile),
-        "l_tile must divide seq_len"
-    );
-    let n_ltiles = op.seq_len / l_tile;
-    Mapping {
-        levels: vec![
-            (Level::Dram, vec![]),
-            (
-                Level::L2,
-                vec![
-                    Loop {
-                        dim: Dim::H,
-                        extent: op.heads,
-                        kind: LoopKind::Spatial,
-                    },
-                    Loop {
-                        dim: Dim::G,
-                        extent: op.group_size,
-                        kind: LoopKind::Spatial,
-                    },
-                    Loop {
-                        dim: Dim::L,
-                        extent: n_ltiles,
-                        kind: LoopKind::Temporal,
-                    },
-                ],
-            ),
-            (
-                Level::L1,
-                vec![Loop {
-                    dim: Dim::L,
-                    extent: l_tile,
-                    kind: LoopKind::Temporal,
-                }],
-            ),
-            (
-                Level::Vector,
-                vec![Loop {
-                    dim: Dim::D,
-                    extent: op.head_dim,
-                    kind: LoopKind::Spatial,
-                }],
-            ),
-        ],
-    }
+fn pair_stream_l2(op: &LogitOp, n_ltiles: usize) -> Vec<Loop> {
+    vec![
+        spatial(Dim::H, op.heads),
+        spatial(Dim::G, op.group_size),
+        temporal(Dim::L, n_ltiles),
+    ]
 }
 
-/// Thread-block enumeration order at the L2 level.
-///
-/// `GInner` places the G loop innermost so that the G query heads
-/// sharing one K tile become *consecutive* thread blocks — landing on
-/// different cores at the same time, which is what lets the LLC capture
-/// GQA locality through cache hits and MSHR merges. `LInner` is the
-/// naive order (each (h, g) pair streams all of K before moving on).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
-pub enum TbOrder {
-    #[default]
-    GInner,
-    LInner,
-}
-
-/// Builds the paper's spatial Logit dataflow: the G dimension (and, when
-/// cores outnumber query heads, a split of L) is mapped *spatially*
+/// L2 loops of the paper's spatial Logit dataflow: the G dimension (and,
+/// when cores outnumber query heads, a split of L) is mapped *spatially*
 /// across cores, so the whole machine streams each K\[h\] concurrently —
 /// every core computing a different query head of the same group over
 /// the same keys. This is the dataflow that exposes GQA sharing to the
 /// LLC as simultaneous cross-core requests (MSHR merges when in sync,
 /// cache hits or refetches when cores drift).
 ///
-/// Loop structure (L2 level, outermost first): spatial G, spatial
-/// L-segments, temporal H, temporal L-tiles; each core's temporal
+/// Loop structure (outermost first): spatial G, spatial L-segments,
+/// temporal H, temporal G, temporal L-tiles; each core's temporal
 /// sequence is `(h, l-tile)` over its own L segment.
-pub fn logit_mapping_spatial(op: &LogitOp, l_tile: usize, num_cores: usize) -> Mapping {
-    assert!(
-        op.seq_len.is_multiple_of(l_tile),
-        "l_tile must divide seq_len"
-    );
-    let n_ltiles = op.seq_len / l_tile;
+fn spatial_l2(op: &LogitOp, n_ltiles: usize, num_cores: usize) -> Vec<Loop> {
     // Spatial split of G over cores; leftover parallelism splits L.
     let gs = op.group_size.min(num_cores);
     let gt = op.group_size / gs; // consecutive g's per core
@@ -328,127 +319,13 @@ pub fn logit_mapping_spatial(op: &LogitOp, l_tile: usize, num_cores: usize) -> M
     while segments > 1 && !n_ltiles.is_multiple_of(segments) {
         segments -= 1;
     }
-    let l2_loops = vec![
-        Loop {
-            dim: Dim::G,
-            extent: gs,
-            kind: LoopKind::Spatial,
-        },
-        Loop {
-            dim: Dim::L,
-            extent: segments,
-            kind: LoopKind::Spatial,
-        },
-        Loop {
-            dim: Dim::H,
-            extent: op.heads,
-            kind: LoopKind::Temporal,
-        },
-        Loop {
-            dim: Dim::G,
-            extent: gt,
-            kind: LoopKind::Temporal,
-        },
-        Loop {
-            dim: Dim::L,
-            extent: n_ltiles / segments,
-            kind: LoopKind::Temporal,
-        },
-    ];
-    Mapping {
-        levels: vec![
-            (Level::Dram, vec![]),
-            (Level::L2, l2_loops),
-            (
-                Level::L1,
-                vec![Loop {
-                    dim: Dim::L,
-                    extent: l_tile,
-                    kind: LoopKind::Temporal,
-                }],
-            ),
-            (
-                Level::Vector,
-                vec![Loop {
-                    dim: Dim::D,
-                    extent: op.head_dim,
-                    kind: LoopKind::Spatial,
-                }],
-            ),
-        ],
-    }
-}
-
-/// Builds the paper's hand-written Logit mapping.
-///
-/// * vector level: spatial D (full head dimension);
-/// * L1 level: temporal L tile of `l_tile` tokens (one thread block
-///   covers `l_tile` scores = `l_tile * 2 / 64` output lines);
-/// * L2 level: the (H, L-tiles, G) enumeration in the given order.
-pub fn logit_mapping(op: &LogitOp, l_tile: usize, order: TbOrder) -> Mapping {
-    assert!(
-        op.seq_len.is_multiple_of(l_tile),
-        "l_tile must divide seq_len"
-    );
-    let n_ltiles = op.seq_len / l_tile;
-    let l2_loops = match order {
-        TbOrder::GInner => vec![
-            Loop {
-                dim: Dim::H,
-                extent: op.heads,
-                kind: LoopKind::Temporal,
-            },
-            Loop {
-                dim: Dim::L,
-                extent: n_ltiles,
-                kind: LoopKind::Temporal,
-            },
-            Loop {
-                dim: Dim::G,
-                extent: op.group_size,
-                kind: LoopKind::Temporal,
-            },
-        ],
-        TbOrder::LInner => vec![
-            Loop {
-                dim: Dim::H,
-                extent: op.heads,
-                kind: LoopKind::Temporal,
-            },
-            Loop {
-                dim: Dim::G,
-                extent: op.group_size,
-                kind: LoopKind::Temporal,
-            },
-            Loop {
-                dim: Dim::L,
-                extent: n_ltiles,
-                kind: LoopKind::Temporal,
-            },
-        ],
-    };
-    Mapping {
-        levels: vec![
-            (Level::Dram, vec![]),
-            (Level::L2, l2_loops),
-            (
-                Level::L1,
-                vec![Loop {
-                    dim: Dim::L,
-                    extent: l_tile,
-                    kind: LoopKind::Temporal,
-                }],
-            ),
-            (
-                Level::Vector,
-                vec![Loop {
-                    dim: Dim::D,
-                    extent: op.head_dim,
-                    kind: LoopKind::Spatial,
-                }],
-            ),
-        ],
-    }
+    vec![
+        spatial(Dim::G, gs),
+        spatial(Dim::L, segments),
+        temporal(Dim::H, op.heads),
+        temporal(Dim::G, gt),
+        temporal(Dim::L, n_ltiles / segments),
+    ]
 }
 
 #[cfg(test)]
@@ -458,7 +335,7 @@ mod tests {
     #[test]
     fn logit_mapping_is_valid() {
         let op = LogitOp::llama3_70b(4096);
-        let m = logit_mapping(&op, 32, TbOrder::GInner);
+        let m = Layout::RoundRobinGInner.mapping(&op, 32, 16);
         m.validate(&op).unwrap();
         assert_eq!(m.total_extent(Dim::L), 4096);
         assert_eq!(m.l1_l_tile(), 32);
@@ -468,8 +345,8 @@ mod tests {
     #[test]
     fn order_changes_loop_sequence_not_counts() {
         let op = LogitOp::llama3_70b(1024);
-        let a = logit_mapping(&op, 32, TbOrder::GInner);
-        let b = logit_mapping(&op, 32, TbOrder::LInner);
+        let a = Layout::RoundRobinGInner.mapping(&op, 32, 16);
+        let b = Layout::RoundRobinLInner.mapping(&op, 32, 16);
         assert_eq!(a.num_thread_blocks(), b.num_thread_blocks());
         assert_ne!(a.level(Level::L2), b.level(Level::L2));
     }
@@ -477,7 +354,7 @@ mod tests {
     #[test]
     fn validation_catches_partial_coverage() {
         let op = LogitOp::llama3_70b(4096);
-        let mut m = logit_mapping(&op, 32, TbOrder::GInner);
+        let mut m = Layout::RoundRobinGInner.mapping(&op, 32, 16);
         // Break the L coverage.
         m.levels[1].1[1].extent = 7;
         assert!(m.validate(&op).is_err());
@@ -486,7 +363,7 @@ mod tests {
     #[test]
     fn validation_requires_vector_d() {
         let op = LogitOp::llama3_70b(4096);
-        let mut m = logit_mapping(&op, 32, TbOrder::GInner);
+        let mut m = Layout::RoundRobinGInner.mapping(&op, 32, 16);
         m.levels[3].1[0].kind = LoopKind::Temporal;
         assert!(m.validate(&op).is_err());
     }
@@ -495,14 +372,14 @@ mod tests {
     fn validation_enforces_l1_l_bytes() {
         let op = LogitOp::llama3_70b(4096);
         // 16 tokens * 2 B = 32 B < 64 B: violates constraint 2.
-        let m = logit_mapping(&op, 16, TbOrder::GInner);
+        let m = Layout::RoundRobinGInner.mapping(&op, 16, 16);
         assert!(m.validate(&op).is_err());
     }
 
     #[test]
     fn spatial_mapping_is_valid_for_both_models() {
         let op70 = LogitOp::llama3_70b(4096);
-        let m = logit_mapping_spatial(&op70, 32, 16);
+        let m = Layout::Spatial.mapping(&op70, 32, 16);
         m.validate(&op70).unwrap();
         assert!(m.is_spatial());
         assert_eq!(m.spatial_g(), 8);
@@ -510,7 +387,7 @@ mod tests {
         assert_eq!(m.num_thread_blocks(), 8 * 8 * 128);
 
         let op405 = LogitOp::llama3_405b(4096);
-        let m = logit_mapping_spatial(&op405, 32, 16);
+        let m = Layout::Spatial.mapping(&op405, 32, 16);
         m.validate(&op405).unwrap();
         assert_eq!(m.spatial_g(), 16);
         assert_eq!(m.spatial_l_segments(), 1);
@@ -520,7 +397,7 @@ mod tests {
     #[test]
     fn spatial_mapping_handles_fewer_cores_than_heads() {
         let op = LogitOp::llama3_405b(1024); // G = 16
-        let m = logit_mapping_spatial(&op, 32, 4);
+        let m = Layout::Spatial.mapping(&op, 32, 4);
         m.validate(&op).unwrap();
         assert_eq!(m.spatial_g(), 4);
         // 4 consecutive query heads per core, temporal.

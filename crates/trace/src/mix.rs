@@ -102,6 +102,23 @@ pub struct MixMeta {
     pub max_block_instrs: usize,
 }
 
+impl MixMeta {
+    /// Totals over the per-request metadata.
+    fn fold(per_request: Vec<TraceMeta>) -> Self {
+        MixMeta {
+            num_blocks: per_request.iter().map(|m| m.num_blocks).sum(),
+            total_load_bytes: per_request.iter().map(|m| m.total_load_bytes).sum(),
+            total_store_bytes: per_request.iter().map(|m| m.total_store_bytes).sum(),
+            max_block_instrs: per_request
+                .iter()
+                .map(|m| m.max_block_instrs)
+                .max()
+                .unwrap_or(0),
+            per_request,
+        }
+    }
+}
+
 /// N requests composed into one multi-tenant trace.
 #[derive(Debug, Clone)]
 pub struct WorkloadMix {
@@ -218,31 +235,14 @@ impl WorkloadMix {
             MixAssignment::Interleaved => vec![(0, cfg.num_cores); self.requests.len()],
         };
 
-        // Generate each request solo on its core share, then relocate
-        // into the tenant's address space.
+        // Lower each request on its core share, in its own address
+        // space, then move it onto the share's cores.
         let mut programs = Vec::with_capacity(self.requests.len());
         let mut metas = Vec::with_capacity(self.requests.len());
         for (r, (req, &(start, count))) in self.requests.iter().zip(&per_core_counts).enumerate() {
-            let shape = req.workload.shape();
-            if l_tile == 0 || !shape.seq_len.is_multiple_of(l_tile) {
-                return Err(format!(
-                    "mix request {r}: l_tile {l_tile} must divide seq_len {}",
-                    shape.seq_len
-                ));
-            }
-            let sub_cfg = TraceGenConfig {
-                num_cores: count,
-                ..*cfg
-            };
-            let mapping = req.workload.mapping(layout, l_tile, count);
-            mapping
-                .validate(&shape)
-                .map_err(|e| format!("mix request {r}: {e}"))?;
-            let (mut program, meta) = req.workload.generate(&mapping, &sub_cfg);
-            let offset = r as Addr * REQUEST_VA_STRIDE;
-            for block in &mut program.blocks {
-                relocate(block, offset);
-            }
+            let (mut program, meta) =
+                lower_tenant(req.workload.as_ref(), r, layout, l_tile, cfg, count)
+                    .map_err(|e| format!("mix request {r}: {e}"))?;
             for core in &mut program.assignment {
                 debug_assert!(*core < count);
                 *core += start;
@@ -293,16 +293,9 @@ impl WorkloadMix {
             }
         }
 
-        let meta = MixMeta {
-            num_blocks: total_blocks,
-            total_load_bytes: metas.iter().map(|m| m.total_load_bytes).sum(),
-            total_store_bytes: metas.iter().map(|m| m.total_store_bytes).sum(),
-            max_block_instrs: metas.iter().map(|m| m.max_block_instrs).max().unwrap_or(0),
-            per_request: metas,
-        };
         Ok((
             Program::with_requests(blocks, assignment, tags, arrivals),
-            meta,
+            MixMeta::fold(metas),
         ))
     }
 }
@@ -339,28 +332,10 @@ pub fn generate_serve_set(
     for (r, req) in requests.iter().enumerate() {
         req.validate()
             .map_err(|e| format!("serve request {r} ({}): {e}", req.label()))?;
-        let shape = req.shape();
-        if l_tile == 0 || !shape.seq_len.is_multiple_of(l_tile) {
-            return Err(format!(
-                "serve request {r}: l_tile {l_tile} must divide seq_len {}",
-                shape.seq_len
-            ));
-        }
-        let sub_cfg = TraceGenConfig {
-            num_cores: cores_per_request,
-            ..*cfg
-        };
-        let mapping = req.mapping(layout, l_tile, cores_per_request);
-        mapping
-            .validate(&shape)
+        let (program, meta) = lower_tenant(req.as_ref(), r, layout, l_tile, cfg, cores_per_request)
             .map_err(|e| format!("serve request {r}: {e}"))?;
-        let (mut program, meta) = req.generate(&mapping, &sub_cfg);
         if program.blocks.is_empty() {
             return Err(format!("serve request {r}: trace has no thread blocks"));
-        }
-        let offset = r as Addr * REQUEST_VA_STRIDE;
-        for block in &mut program.blocks {
-            relocate(block, offset);
         }
         for (block, core) in program.blocks.into_iter().zip(program.assignment) {
             debug_assert!(core < cores_per_request);
@@ -370,17 +345,32 @@ pub fn generate_serve_set(
         }
         metas.push(meta);
     }
-    let meta = MixMeta {
-        num_blocks: blocks.len(),
-        total_load_bytes: metas.iter().map(|m| m.total_load_bytes).sum(),
-        total_store_bytes: metas.iter().map(|m| m.total_store_bytes).sum(),
-        max_block_instrs: metas.iter().map(|m| m.max_block_instrs).max().unwrap_or(0),
-        per_request: metas,
-    };
     Ok((
         Program::with_requests(blocks, assignment, tags, Vec::new()),
-        meta,
+        MixMeta::fold(metas),
     ))
+}
+
+/// Lowers tenant `r` ([`Workload::lower`]) on `cores` cores, home cores
+/// relative (`0..cores`), and moves it into the tenant's address space.
+fn lower_tenant(
+    workload: &dyn Workload,
+    r: usize,
+    layout: Layout,
+    l_tile: usize,
+    cfg: &TraceGenConfig,
+    cores: usize,
+) -> Result<(Program, TraceMeta), String> {
+    let cfg = TraceGenConfig {
+        num_cores: cores,
+        ..*cfg
+    };
+    let (mut program, meta) = workload.lower(layout, l_tile, &cfg)?;
+    let offset = r as Addr * REQUEST_VA_STRIDE;
+    for block in &mut program.blocks {
+        relocate(block, offset);
+    }
+    Ok((program, meta))
 }
 
 /// Shifts a block's memory accesses into a tenant's address space.
@@ -640,6 +630,43 @@ mod tests {
         assert_eq!(
             shared_lines[0], shared_lines[1],
             "both tenants read the same shared-prefix lines"
+        );
+    }
+
+    #[test]
+    fn composed_traces_are_pinned() {
+        use crate::tracegen::program_fnv1a;
+        use crate::workloads::SharedPrefixWorkload;
+        let shared: Arc<dyn Workload> = Arc::new(SharedPrefixWorkload::new(
+            LogitOp {
+                heads: 2,
+                group_size: 4,
+                seq_len: 128,
+                head_dim: 128,
+            },
+            64,
+        ));
+        let mix = WorkloadMix::new(MixAssignment::Interleaved)
+            .request(decode(128), 0)
+            .request(shared.clone(), 3_000);
+        let (p, _) = mix.generate(Layout::PairStream, 32, &cfg()).unwrap();
+        assert_eq!(
+            program_fnv1a(&p),
+            12279896976348316285,
+            "interleaved mix trace changed"
+        );
+        let (p, _) = generate_serve_set(
+            &[decode(128), prefill(128), shared],
+            4,
+            Layout::Spatial,
+            32,
+            &cfg(),
+        )
+        .unwrap();
+        assert_eq!(
+            program_fnv1a(&p),
+            14898795481515292273,
+            "serve-set trace changed"
         );
     }
 

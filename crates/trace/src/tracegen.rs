@@ -3,17 +3,22 @@
 //!
 //! "Since a mapping by definition is a hierarchy of nested loops mapped
 //! to either the spatial or temporal domain, it can be translated to
-//! memory traces simply by iterating through it" (Section 5). One thread
-//! block is one L1-level tile: it loads the Q row for its (h, g) pair,
-//! streams the K rows of its L tile (with amortized compute cycles for
-//! the dot products), synchronizes, and stores its output scores.
+//! memory traces simply by iterating through it" (Section 5). The
+//! mapping decides which thread blocks exist, in what order, on which
+//! core (`generate_with`); one thread block is one L1-level tile, and
+//! every workload lays it out with the same template (`tile_block`):
+//! load its inputs, stream the rows of its L tile with amortized
+//! compute, synchronize, store its outputs.
+
+use std::ops::Range;
 
 use serde::{Deserialize, Serialize};
 
 use llamcat_sim::prog::{Instr, Program, ThreadBlock};
+use llamcat_sim::types::Addr;
 
 use crate::mapping::{Dim, Level, LoopKind, Mapping};
-use crate::workload::{LogitOp, ELEM_BYTES};
+use crate::workload::LogitOp;
 
 /// Trace-generation parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -49,29 +54,16 @@ pub struct TraceMeta {
     pub max_block_instrs: usize,
 }
 
-/// Generates the executable Logit program for `op` under `mapping`.
-///
-/// Panics if the mapping is invalid for the operator (call
-/// [`Mapping::validate`] first for a graceful error).
-pub fn generate(op: &LogitOp, mapping: &Mapping, cfg: &TraceGenConfig) -> (Program, TraceMeta) {
-    generate_with(op, mapping, cfg, |h, g, lt, l_tile| {
-        logit_block(op, cfg, h, g, lt, l_tile)
-    })
-}
-
 /// Generates a program for any workload sharing the {H, G, L, D}
 /// iteration space: the mapping decides thread-block enumeration order
 /// and core assignment, `build` supplies each block's instruction
 /// stream (`(h, g, l_tile_index, l_tile_extent) -> ThreadBlock`).
 ///
-/// This is the open extension point behind
-/// [`Workload::generate`](crate::workloads::Workload::generate):
-/// enumeration logic is written once, per-operator memory behavior is
-/// plugged in.
+/// Called only by [`Workload::generate`](crate::workloads::Workload::generate).
 ///
 /// Panics if the mapping is invalid for the iteration space (call
 /// [`Mapping::validate`] first for a graceful error).
-pub fn generate_with<F>(
+pub(crate) fn generate_with<F>(
     op: &LogitOp,
     mapping: &Mapping,
     cfg: &TraceGenConfig,
@@ -123,7 +115,7 @@ where
 
 /// Pair-stream dataflow: (h, g) output pairs round-robin over cores,
 /// each pair an independent full-K[h] temporal stream (see
-/// [`crate::mapping::logit_mapping_pair_stream`]). Blocks are emitted
+/// [`Layout::PairStream`](crate::mapping::Layout::PairStream)). Blocks are emitted
 /// pair-major so each core's queue holds its pairs' tiles contiguously —
 /// the window-strided scheduler then runs one pair per window.
 fn generate_pair_stream<F>(
@@ -192,12 +184,6 @@ where
     (blocks, assignment)
 }
 
-/// Convenience: generate with the paper's default spatial mapping.
-pub fn generate_default(op: &LogitOp, cfg: &TraceGenConfig) -> (Program, TraceMeta) {
-    let mapping = crate::mapping::logit_mapping_spatial(op, 32, cfg.num_cores);
-    generate(op, &mapping, cfg)
-}
-
 /// Walks the (H, G, L-tile) iteration space in the order given by the
 /// L2-level loop list.
 fn iterate(
@@ -234,33 +220,55 @@ fn iterate(
     }
 }
 
-/// Builds the instruction stream of one decode-Logit thread block:
-/// load the Q row, stream the K rows of the L tile with amortized
-/// compute, barrier, store the tile's scores.
-pub fn logit_block(
-    op: &LogitOp,
+/// Builds one thread block from the template every workload shares:
+///
+/// 1. load each `(addr, bytes)` span of `inputs`;
+/// 2. for each token `l` of the L tile `tile`, load the `N` rows
+///    `rows(l)`, each `row_bytes` long, and accrue `compute_per_row`
+///    cycles, flushed as one `Compute` every
+///    [`compute_flush_rows`](TraceGenConfig::compute_flush_rows) tokens
+///    and once more after the last;
+/// 3. barrier;
+/// 4. store each `(addr, bytes)` span of `outputs`.
+///
+/// Every span is split into vector-width accesses. The instructions go
+/// into one allocation, sized up front.
+pub(crate) fn tile_block<const N: usize, I, O>(
     cfg: &TraceGenConfig,
-    h: usize,
-    g: usize,
-    lt: usize,
-    l_tile: usize,
-) -> ThreadBlock {
+    inputs: I,
+    tile: Range<usize>,
+    rows: impl Fn(usize) -> [Addr; N],
+    row_bytes: u64,
+    compute_per_row: u32,
+    outputs: O,
+) -> ThreadBlock
+where
+    I: IntoIterator<Item = (Addr, u64)>,
+    I::IntoIter: Clone,
+    O: IntoIterator<Item = (Addr, u64)>,
+    O::IntoIter: Clone,
+{
     let vlen = cfg.vector_len_bytes;
-    let row_bytes = op.k_row_bytes();
-    let mut instrs = Vec::with_capacity(l_tile * 2 + l_tile / 2 + 8);
+    let flush = cfg.compute_flush_rows;
+    let (inputs, outputs) = (inputs.into_iter(), outputs.into_iter());
+    let accesses = |bytes: u64| bytes.div_ceil(vlen) as usize;
+    let len = inputs.clone().map(|(_, b)| accesses(b)).sum::<usize>()
+        + tile.len() * N * accesses(row_bytes)
+        + tile.len().div_ceil(flush)
+        + 1
+        + outputs.clone().map(|(_, b)| accesses(b)).sum::<usize>();
+    let mut instrs = Vec::with_capacity(len);
 
-    // Load the Q row for (h, g).
-    let q0 = op.q_addr(h, g, 0);
-    push_vector_accesses(&mut instrs, q0, row_bytes, vlen, false);
-
-    // Stream the K rows of the tile, interleaving amortized compute.
-    let l0 = lt * l_tile;
+    for (addr, bytes) in inputs {
+        push_vector_accesses(&mut instrs, addr, bytes, vlen, false);
+    }
     let mut pending_compute = 0u32;
-    for li in 0..l_tile {
-        let k0 = op.k_addr(h, l0 + li, 0);
-        push_vector_accesses(&mut instrs, k0, row_bytes, vlen, false);
-        pending_compute += cfg.compute_cycles_per_row;
-        if (li + 1) % cfg.compute_flush_rows == 0 && pending_compute > 0 {
+    for (i, l) in tile.enumerate() {
+        for row in rows(l) {
+            push_vector_accesses(&mut instrs, row, row_bytes, vlen, false);
+        }
+        pending_compute += compute_per_row;
+        if (i + 1).is_multiple_of(flush) && pending_compute > 0 {
             instrs.push(Instr::Compute {
                 cycles: pending_compute,
             });
@@ -272,24 +280,16 @@ pub fn logit_block(
             cycles: pending_compute,
         });
     }
-
-    // Reduction barrier, then store the tile's scores.
     instrs.push(Instr::Barrier);
-    let s0 = op.score_addr(h, g, l0);
-    push_vector_accesses(&mut instrs, s0, l_tile as u64 * ELEM_BYTES, vlen, true);
-
+    for (addr, bytes) in outputs {
+        push_vector_accesses(&mut instrs, addr, bytes, vlen, true);
+    }
     ThreadBlock { instrs }
 }
 
 /// Splits a contiguous `bytes`-long access at `base` into vector-width
-/// loads or stores (shared by all workload block builders).
-pub fn push_vector_accesses(
-    instrs: &mut Vec<Instr>,
-    base: u64,
-    bytes: u64,
-    vlen: u64,
-    store: bool,
-) {
+/// loads or stores.
+fn push_vector_accesses(instrs: &mut Vec<Instr>, base: Addr, bytes: u64, vlen: u64, store: bool) {
     let mut off = 0;
     while off < bytes {
         let chunk = vlen.min(bytes - off) as u32;
@@ -309,9 +309,20 @@ pub fn push_vector_accesses(
 }
 
 #[cfg(test)]
+pub(crate) fn program_fnv1a(program: &Program) -> u64 {
+    serde_json::to_vec(program)
+        .expect("program serializes")
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+        })
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::{logit_mapping, TbOrder};
+    use crate::mapping::Layout;
+    use crate::workloads::{LogitWorkload, Workload};
     use llamcat_sim::types::LINE_BYTES;
     use std::collections::HashSet;
 
@@ -324,11 +335,16 @@ mod tests {
         }
     }
 
+    /// Decode Logit under `layout` with 32-token tiles.
+    fn logit(op: &LogitOp, layout: Layout, cfg: &TraceGenConfig) -> (Program, TraceMeta) {
+        let mapping = layout.mapping(op, 32, cfg.num_cores);
+        LogitWorkload::new(*op).generate(&mapping, cfg)
+    }
+
     #[test]
     fn block_count_matches_mapping() {
         let op = small_op();
-        let m = logit_mapping(&op, 32, TbOrder::GInner);
-        let (p, meta) = generate(&op, &m, &TraceGenConfig::default());
+        let (p, meta) = logit(&op, Layout::RoundRobinGInner, &TraceGenConfig::default());
         // 2 heads * 4 groups * (128/32) tiles = 32 blocks.
         assert_eq!(meta.num_blocks, 32);
         assert_eq!(p.num_blocks(), 32);
@@ -337,8 +353,7 @@ mod tests {
     #[test]
     fn load_traffic_matches_analytical_model() {
         let op = small_op();
-        let m = logit_mapping(&op, 32, TbOrder::GInner);
-        let (_, meta) = generate(&op, &m, &TraceGenConfig::default());
+        let (_, meta) = logit(&op, Layout::RoundRobinGInner, &TraceGenConfig::default());
         // Every (h, g) streams K[h] once (+ its Q row once per tile).
         let k_traffic = op.k_bytes() * op.group_size as u64;
         let q_traffic = (op.heads * op.group_size * (op.seq_len / 32)) as u64 * op.k_row_bytes();
@@ -349,7 +364,7 @@ mod tests {
     #[test]
     fn blocks_fit_instruction_window() {
         let op = LogitOp::llama3_70b(4096);
-        let (_, meta) = generate_default(&op, &TraceGenConfig::default());
+        let (_, meta) = logit(&op, Layout::Spatial, &TraceGenConfig::default());
         assert!(
             meta.max_block_instrs <= 128,
             "blocks must fit the 128-deep instruction window, got {}",
@@ -360,8 +375,7 @@ mod tests {
     #[test]
     fn g_inner_order_makes_sharers_adjacent() {
         let op = small_op();
-        let m = logit_mapping(&op, 32, TbOrder::GInner);
-        let (p, _) = generate(&op, &m, &TraceGenConfig::default());
+        let (p, _) = logit(&op, Layout::RoundRobinGInner, &TraceGenConfig::default());
         // Blocks 0..group_size must all read the same K lines.
         let k_lines = |tb: usize| -> HashSet<u64> {
             p.blocks[tb]
@@ -387,8 +401,7 @@ mod tests {
     #[test]
     fn l_inner_order_separates_sharers() {
         let op = small_op();
-        let m = logit_mapping(&op, 32, TbOrder::LInner);
-        let (p, _) = generate(&op, &m, &TraceGenConfig::default());
+        let (p, _) = logit(&op, Layout::RoundRobinLInner, &TraceGenConfig::default());
         // Adjacent blocks stream different K tiles.
         let k_addrs = |tb: usize| -> Vec<u64> {
             p.blocks[tb]
@@ -406,8 +419,7 @@ mod tests {
     #[test]
     fn store_addresses_cover_output_exactly_once() {
         let op = small_op();
-        let m = logit_mapping(&op, 32, TbOrder::GInner);
-        let (p, _) = generate(&op, &m, &TraceGenConfig::default());
+        let (p, _) = logit(&op, Layout::RoundRobinGInner, &TraceGenConfig::default());
         let mut lines = HashSet::new();
         for b in &p.blocks {
             for i in &b.instrs {
@@ -426,12 +438,11 @@ mod tests {
     #[test]
     fn compute_cycles_scale_with_rows() {
         let op = small_op();
-        let m = logit_mapping(&op, 32, TbOrder::GInner);
         let cfg = TraceGenConfig {
             compute_cycles_per_row: 2,
             ..Default::default()
         };
-        let (p, _) = generate(&op, &m, &cfg);
+        let (p, _) = logit(&op, Layout::RoundRobinGInner, &cfg);
         let total: u32 = p.blocks[0]
             .instrs
             .iter()

@@ -1,4 +1,6 @@
-//! LLM decode workloads: the Logit operator (Q·Kᵀ) under GQA.
+//! LLM decode workloads: the Logit operator (Q·Kᵀ) under GQA, whose
+//! {H, G, L, D} iteration space and tensor address map every workload
+//! in [`crate::workloads`] shares.
 //!
 //! Section 6.2.2 of the paper: "we test our design against the Logit
 //! operator (QKᵀ). Computation of this operator is executed across
@@ -25,6 +27,12 @@ pub const ELEM_BYTES: u64 = 2;
 pub const Q_BASE: Addr = 0x1000_0000;
 pub const K_BASE: Addr = 0x1_0000_0000;
 pub const SCORE_BASE: Addr = 0x8_0000_0000;
+/// Base of the V cache (attention-output and fused decode workloads).
+/// Sits above the score region, which tops out well below it at
+/// 2·H·G·L bytes for realistic shapes.
+pub const V_BASE: Addr = 0x10_0000_0000;
+/// Base of the attention-output partial results.
+pub const OUT_BASE: Addr = 0x80_0000_0000;
 
 /// The decode-stage Logit operator `Q · Kᵀ` with GQA dimensions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -107,6 +115,19 @@ impl LogitOp {
     pub fn score_addr(&self, h: usize, g: usize, l: usize) -> Addr {
         debug_assert!(h < self.heads && g < self.group_size && l < self.seq_len);
         SCORE_BASE + (((h * self.group_size + g) * self.seq_len + l) as u64) * ELEM_BYTES
+    }
+
+    /// Address of element `d` of `V[h][l]` (row-major `[h][l][d]`, the
+    /// same layout as K).
+    pub fn v_addr(&self, h: usize, l: usize, d: usize) -> Addr {
+        debug_assert!(h < self.heads && l < self.seq_len && d < self.head_dim);
+        V_BASE + (((h * self.seq_len + l) * self.head_dim + d) as u64) * ELEM_BYTES
+    }
+
+    /// Address of the partial output row of block (h, g, l-tile) when
+    /// the L dimension is split into `n_ltiles` tiles.
+    pub fn partial_out_addr(&self, h: usize, g: usize, lt: usize, n_ltiles: usize) -> Addr {
+        OUT_BASE + (((h * self.group_size + g) * n_ltiles + lt) as u64) * self.k_row_bytes()
     }
 
     /// Validates the shape (power-of-two friendly dims, positive sizes).

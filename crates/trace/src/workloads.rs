@@ -6,10 +6,11 @@
 //!
 //! * [`Workload`] — the trait an operator implements to participate in
 //!   experiments: an {H, G, L, D} iteration space plus a per-thread-block
-//!   instruction-stream builder. Mapping construction and thread-block
-//!   enumeration are shared (see [`Layout`] and
-//!   [`crate::tracegen::generate_with`]); only the memory behavior of
-//!   one block is operator-specific.
+//!   instruction-stream builder. Mapping construction, thread-block
+//!   enumeration and the block template are shared (see [`Layout`] and
+//!   [`crate::tracegen`]); a builder only names the addresses one block
+//!   loads, streams and stores. [`Workload::lower`] is the one checked
+//!   path from a workload to its program.
 //! * [`LogitWorkload`] — the paper's decode Logit operator.
 //! * [`AttnOutputWorkload`] — the attention-output GEMV `A·V`: consumes
 //!   the probabilities the Logit operator produced and streams the V
@@ -27,29 +28,21 @@
 //!   workload *family* (everything but the sequence length), so campaign
 //!   definitions can cross workloads × sequence lengths as data.
 //!
-//! All three workloads share the {H, G, L, D} space, so every [`Layout`]
-//! loop nest and the legality constraints apply unchanged.
+//! All five workloads share the {H, G, L, D} space and the tensor
+//! address map of [`LogitOp`], so every [`Layout`] loop nest and the
+//! legality constraints apply unchanged.
 
 use std::fmt;
 use std::sync::Arc;
 
 use llamcat_sim::kv::SHARED_KV_BASE;
-use llamcat_sim::prog::{Instr, Program, ThreadBlock};
+use llamcat_sim::prog::{Program, ThreadBlock};
 use llamcat_sim::types::Addr;
 use serde::{Deserialize, Serialize};
 
 use crate::mapping::{Layout, Mapping};
-use crate::tracegen::{
-    generate_with, logit_block, push_vector_accesses, TraceGenConfig, TraceMeta,
-};
+use crate::tracegen::{generate_with, tile_block, TraceGenConfig, TraceMeta};
 use crate::workload::{LogitOp, ELEM_BYTES};
-
-/// Base virtual address of the V cache (attention-output workload).
-/// Sits above the score region; tensors never overlap for realistic
-/// shapes (the score region tops out well below at 2·H·G·L bytes).
-pub const V_BASE: Addr = 0x10_0000_0000;
-/// Base virtual address of the attention-output partial results.
-pub const OUT_BASE: Addr = 0x80_0000_0000;
 
 /// An operator that can be lowered to per-core memory traces.
 ///
@@ -89,12 +82,39 @@ pub trait Workload: fmt::Debug + Send + Sync {
     /// Walks `mapping` into an executable program.
     ///
     /// Panics if the mapping is invalid for the shape; validate first
-    /// ([`Mapping::validate`]) for a graceful error.
+    /// ([`Mapping::validate`]) for a graceful error, or call
+    /// [`Workload::lower`], which does.
     fn generate(&self, mapping: &Mapping, cfg: &TraceGenConfig) -> (Program, TraceMeta) {
         let shape = self.shape();
         generate_with(&shape, mapping, cfg, |h, g, lt, l_tile| {
             self.build_block(cfg, h, g, lt, l_tile)
         })
+    }
+
+    /// Lowers this workload to a program: the `layout` loop nest with
+    /// `l_tile`-token thread blocks over `cfg.num_cores` cores, checked
+    /// and then walked by [`Workload::generate`].
+    ///
+    /// Errs, without panicking, when `l_tile` does not divide the
+    /// sequence length or the nest breaks the paper's mapping
+    /// constraints. The shape itself is not checked: call
+    /// [`Workload::validate`] first.
+    fn lower(
+        &self,
+        layout: Layout,
+        l_tile: usize,
+        cfg: &TraceGenConfig,
+    ) -> Result<(Program, TraceMeta), String> {
+        let shape = self.shape();
+        if l_tile == 0 || !shape.seq_len.is_multiple_of(l_tile) {
+            return Err(format!(
+                "l_tile {l_tile} must divide seq_len {}",
+                shape.seq_len
+            ));
+        }
+        let mapping = self.mapping(layout, l_tile, cfg.num_cores);
+        mapping.validate(&shape)?;
+        Ok(self.generate(&mapping, cfg))
     }
 }
 
@@ -131,7 +151,17 @@ impl Workload for LogitWorkload {
         lt: usize,
         l_tile: usize,
     ) -> ThreadBlock {
-        logit_block(&self.op, cfg, h, g, lt, l_tile)
+        let op = &self.op;
+        let l0 = lt * l_tile;
+        tile_block(
+            cfg,
+            [(op.q_addr(h, g, 0), op.k_row_bytes())],
+            l0..l0 + l_tile,
+            |l| [op.k_addr(h, l, 0)],
+            op.k_row_bytes(),
+            cfg.compute_cycles_per_row,
+            [(op.score_addr(h, g, l0), l_tile as u64 * ELEM_BYTES)],
+        )
     }
 }
 
@@ -153,17 +183,6 @@ pub struct AttnOutputWorkload {
 impl AttnOutputWorkload {
     pub fn new(op: LogitOp) -> Self {
         AttnOutputWorkload { op }
-    }
-
-    /// Address of element `d` of `V[h][l]` (row-major `[h][l][d]`).
-    pub fn v_addr(&self, h: usize, l: usize, d: usize) -> Addr {
-        debug_assert!(h < self.op.heads && l < self.op.seq_len && d < self.op.head_dim);
-        V_BASE + (((h * self.op.seq_len + l) * self.op.head_dim + d) as u64) * ELEM_BYTES
-    }
-
-    /// Address of the partial output row of block (h, g, l-tile).
-    pub fn partial_out_addr(&self, h: usize, g: usize, lt: usize, n_ltiles: usize) -> Addr {
-        OUT_BASE + (((h * self.op.group_size + g) * n_ltiles + lt) as u64) * self.op.k_row_bytes()
     }
 }
 
@@ -188,56 +207,22 @@ impl Workload for AttnOutputWorkload {
         l_tile: usize,
     ) -> ThreadBlock {
         let op = &self.op;
-        let vlen = cfg.vector_len_bytes;
-        let row_bytes = op.k_row_bytes();
-        let n_ltiles = op.seq_len / l_tile;
         let l0 = lt * l_tile;
-        let mut instrs = Vec::with_capacity(l_tile * 2 + l_tile / 2 + 8);
-
         // Load the probability tile A[h][g][l0 .. l0+l_tile] (produced
-        // by the Logit operator at the same addresses).
-        push_vector_accesses(
-            &mut instrs,
-            op.score_addr(h, g, l0),
-            l_tile as u64 * ELEM_BYTES,
-            vlen,
-            false,
-        );
-
-        // Stream the V rows of the tile, interleaving amortized compute.
-        let mut pending_compute = 0u32;
-        for li in 0..l_tile {
-            push_vector_accesses(
-                &mut instrs,
-                self.v_addr(h, l0 + li, 0),
-                row_bytes,
-                vlen,
-                false,
-            );
-            pending_compute += cfg.compute_cycles_per_row;
-            if (li + 1) % cfg.compute_flush_rows == 0 && pending_compute > 0 {
-                instrs.push(Instr::Compute {
-                    cycles: pending_compute,
-                });
-                pending_compute = 0;
-            }
-        }
-        if pending_compute > 0 {
-            instrs.push(Instr::Compute {
-                cycles: pending_compute,
-            });
-        }
-
-        // Reduce, then store this tile's partial output row.
-        instrs.push(Instr::Barrier);
-        push_vector_accesses(
-            &mut instrs,
-            self.partial_out_addr(h, g, lt, n_ltiles),
-            row_bytes,
-            vlen,
-            true,
-        );
-        ThreadBlock { instrs }
+        // by the Logit operator at the same addresses), stream the V
+        // rows, then store this tile's partial output row.
+        tile_block(
+            cfg,
+            [(op.score_addr(h, g, l0), l_tile as u64 * ELEM_BYTES)],
+            l0..l0 + l_tile,
+            |l| [op.v_addr(h, l, 0)],
+            op.k_row_bytes(),
+            cfg.compute_cycles_per_row,
+            [(
+                op.partial_out_addr(h, g, lt, op.seq_len / l_tile),
+                op.k_row_bytes(),
+            )],
+        )
     }
 }
 
@@ -316,54 +301,21 @@ impl Workload for PrefillLogitWorkload {
         l_tile: usize,
     ) -> ThreadBlock {
         let op = &self.op;
-        let t_count = self.query_tokens;
-        let vlen = cfg.vector_len_bytes;
-        let row_bytes = op.k_row_bytes();
         let l0 = lt * l_tile;
-        let mut instrs = Vec::with_capacity(l_tile * 2 + t_count * 3 + 8);
-
-        // Load the chunk's Q rows for (h, g).
-        for t in 0..t_count {
-            push_vector_accesses(&mut instrs, self.q_addr(h, g, t, 0), row_bytes, vlen, false);
-        }
-
-        // Stream the K rows of the tile once; every row feeds
-        // `query_tokens` dot products.
-        let mut pending_compute = 0u32;
-        for li in 0..l_tile {
-            push_vector_accesses(
-                &mut instrs,
-                op.k_addr(h, l0 + li, 0),
-                row_bytes,
-                vlen,
-                false,
-            );
-            pending_compute += cfg.compute_cycles_per_row * t_count as u32;
-            if (li + 1) % cfg.compute_flush_rows == 0 && pending_compute > 0 {
-                instrs.push(Instr::Compute {
-                    cycles: pending_compute,
-                });
-                pending_compute = 0;
-            }
-        }
-        if pending_compute > 0 {
-            instrs.push(Instr::Compute {
-                cycles: pending_compute,
-            });
-        }
-
-        // Barrier, then one score tile per query token.
-        instrs.push(Instr::Barrier);
-        for t in 0..t_count {
-            push_vector_accesses(
-                &mut instrs,
-                self.score_addr(h, g, t, l0),
-                l_tile as u64 * ELEM_BYTES,
-                vlen,
-                true,
-            );
-        }
-        ThreadBlock { instrs }
+        let tokens = 0..self.query_tokens;
+        // Every K row feeds `query_tokens` dot products; one score tile
+        // per query token.
+        tile_block(
+            cfg,
+            tokens
+                .clone()
+                .map(|t| (self.q_addr(h, g, t, 0), op.k_row_bytes())),
+            l0..l0 + l_tile,
+            |l| [op.k_addr(h, l, 0)],
+            op.k_row_bytes(),
+            cfg.compute_cycles_per_row * self.query_tokens as u32,
+            tokens.map(|t| (self.score_addr(h, g, t, l0), l_tile as u64 * ELEM_BYTES)),
+        )
     }
 }
 
@@ -430,50 +382,25 @@ impl Workload for SharedPrefixWorkload {
         l_tile: usize,
     ) -> ThreadBlock {
         let op = &self.op;
-        let vlen = cfg.vector_len_bytes;
-        let row_bytes = op.k_row_bytes();
         let prefix = self.effective_prefix();
         let l0 = lt * l_tile;
-        let mut instrs = Vec::with_capacity(l_tile * 2 + l_tile / 2 + 8);
-
-        // Load the Q row for (h, g).
-        push_vector_accesses(&mut instrs, op.q_addr(h, g, 0), row_bytes, vlen, false);
-
-        // Stream the K rows of the tile: shared-window rows for the
-        // prefix, per-request rows for the rest.
-        let mut pending_compute = 0u32;
-        for li in 0..l_tile {
-            let l = l0 + li;
-            let k0 = if l < prefix {
-                self.shared_k_addr(h, l, 0)
-            } else {
-                op.k_addr(h, l, 0)
-            };
-            push_vector_accesses(&mut instrs, k0, row_bytes, vlen, false);
-            pending_compute += cfg.compute_cycles_per_row;
-            if (li + 1) % cfg.compute_flush_rows == 0 && pending_compute > 0 {
-                instrs.push(Instr::Compute {
-                    cycles: pending_compute,
-                });
-                pending_compute = 0;
-            }
-        }
-        if pending_compute > 0 {
-            instrs.push(Instr::Compute {
-                cycles: pending_compute,
-            });
-        }
-
-        // Reduction barrier, then store the tile's scores (per-request).
-        instrs.push(Instr::Barrier);
-        push_vector_accesses(
-            &mut instrs,
-            op.score_addr(h, g, l0),
-            l_tile as u64 * ELEM_BYTES,
-            vlen,
-            true,
-        );
-        ThreadBlock { instrs }
+        // Shared-window K rows for the prefix, per-request rows for the
+        // rest; the scores are per-request.
+        tile_block(
+            cfg,
+            [(op.q_addr(h, g, 0), op.k_row_bytes())],
+            l0..l0 + l_tile,
+            |l| {
+                [if l < prefix {
+                    self.shared_k_addr(h, l, 0)
+                } else {
+                    op.k_addr(h, l, 0)
+                }]
+            },
+            op.k_row_bytes(),
+            cfg.compute_cycles_per_row,
+            [(op.score_addr(h, g, l0), l_tile as u64 * ELEM_BYTES)],
+        )
     }
 }
 
@@ -500,19 +427,6 @@ impl GqaDecodeWorkload {
     pub fn new(op: LogitOp) -> Self {
         GqaDecodeWorkload { op }
     }
-
-    /// Address of element `d` of `V[h][l]` (same layout as
-    /// [`AttnOutputWorkload::v_addr`], so a fused step touches the same
-    /// V lines the split operators would).
-    pub fn v_addr(&self, h: usize, l: usize, d: usize) -> Addr {
-        debug_assert!(h < self.op.heads && l < self.op.seq_len && d < self.op.head_dim);
-        V_BASE + (((h * self.op.seq_len + l) * self.op.head_dim + d) as u64) * ELEM_BYTES
-    }
-
-    /// Address of the partial output row of block (h, g, l-tile).
-    pub fn partial_out_addr(&self, h: usize, g: usize, lt: usize, n_ltiles: usize) -> Addr {
-        OUT_BASE + (((h * self.op.group_size + g) * n_ltiles + lt) as u64) * self.op.k_row_bytes()
-    }
 }
 
 impl Workload for GqaDecodeWorkload {
@@ -536,47 +450,22 @@ impl Workload for GqaDecodeWorkload {
         l_tile: usize,
     ) -> ThreadBlock {
         let op = &self.op;
-        let vlen = cfg.vector_len_bytes;
-        let row_bytes = op.k_row_bytes();
-        let n_ltiles = op.seq_len / l_tile;
         let l0 = lt * l_tile;
-        let mut instrs = Vec::with_capacity(l_tile * 4 + l_tile / 2 + 8);
-
-        // Load the Q row for (h, g).
-        push_vector_accesses(&mut instrs, op.q_addr(h, g, 0), row_bytes, vlen, false);
-
-        // Stream K and V rows of the tile back to back: score the row,
-        // then immediately fold it into the output accumulator.
-        let mut pending_compute = 0u32;
-        for li in 0..l_tile {
-            let l = l0 + li;
-            push_vector_accesses(&mut instrs, op.k_addr(h, l, 0), row_bytes, vlen, false);
-            push_vector_accesses(&mut instrs, self.v_addr(h, l, 0), row_bytes, vlen, false);
-            pending_compute += 2 * cfg.compute_cycles_per_row;
-            if (li + 1) % cfg.compute_flush_rows == 0 && pending_compute > 0 {
-                instrs.push(Instr::Compute {
-                    cycles: pending_compute,
-                });
-                pending_compute = 0;
-            }
-        }
-        if pending_compute > 0 {
-            instrs.push(Instr::Compute {
-                cycles: pending_compute,
-            });
-        }
-
-        // Rescale/reduce, then store the tile's partial output row;
-        // scores stay in registers.
-        instrs.push(Instr::Barrier);
-        push_vector_accesses(
-            &mut instrs,
-            self.partial_out_addr(h, g, lt, n_ltiles),
-            row_bytes,
-            vlen,
-            true,
-        );
-        ThreadBlock { instrs }
+        // Score each K row, then fold its V row into the accumulator;
+        // scores stay in registers, only the partial output row is
+        // stored.
+        tile_block(
+            cfg,
+            [(op.q_addr(h, g, 0), op.k_row_bytes())],
+            l0..l0 + l_tile,
+            |l| [op.k_addr(h, l, 0), op.v_addr(h, l, 0)],
+            op.k_row_bytes(),
+            2 * cfg.compute_cycles_per_row,
+            [(
+                op.partial_out_addr(h, g, lt, op.seq_len / l_tile),
+                op.k_row_bytes(),
+            )],
+        )
     }
 }
 
@@ -711,7 +600,8 @@ impl WorkloadSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{K_BASE, SCORE_BASE};
+    use crate::workload::{K_BASE, OUT_BASE, SCORE_BASE, V_BASE};
+    use llamcat_sim::prog::Instr;
     use llamcat_sim::types::LINE_BYTES;
     use std::collections::HashSet;
 
@@ -766,21 +656,6 @@ mod tests {
             .label(),
             "gqa-decode h8 g8 d128"
         );
-    }
-
-    #[test]
-    fn logit_workload_matches_legacy_generate() {
-        let op = small_op();
-        let w = LogitWorkload::new(op);
-        let cfg = TraceGenConfig::default();
-        let mapping = w.mapping(Layout::PairStream, 32, cfg.num_cores);
-        let (p_new, meta_new) = w.generate(&mapping, &cfg);
-        let (p_old, meta_old) = crate::tracegen::generate(&op, &mapping, &cfg);
-        assert_eq!(meta_new, meta_old);
-        assert_eq!(p_new.blocks.len(), p_old.blocks.len());
-        for (a, b) in p_new.blocks.iter().zip(&p_old.blocks) {
-            assert_eq!(a.instrs, b.instrs);
-        }
     }
 
     #[test]
@@ -1013,19 +888,15 @@ mod tests {
         )));
         assert!(!is_kv_addr(op.q_addr(0, 0, 0)));
         assert!(!is_kv_addr(op.score_addr(0, 0, 0)));
-        let attn = AttnOutputWorkload::new(op);
-        assert!(is_kv_addr(attn.v_addr(0, 0, 0)));
-        assert!(is_kv_addr(attn.v_addr(
+        assert!(is_kv_addr(op.v_addr(0, 0, 0)));
+        assert!(is_kv_addr(op.v_addr(
             op.heads - 1,
             op.seq_len - 1,
             op.head_dim - 1
         )));
-        assert!(!is_kv_addr(attn.partial_out_addr(0, 0, 0, 4)));
+        assert!(!is_kv_addr(op.partial_out_addr(0, 0, 0, 4)));
         let spfx = SharedPrefixWorkload::new(op, 64);
         assert!(is_kv_addr(spfx.shared_k_addr(0, 0, 0)));
-        let gqa = GqaDecodeWorkload::new(op);
-        assert!(is_kv_addr(gqa.v_addr(0, 0, 0)));
-        assert!(!is_kv_addr(gqa.partial_out_addr(0, 0, 0, 4)));
         // Tenant relocation preserves the classification (the in-slot
         // window test is stride-periodic).
         use crate::mix::REQUEST_VA_STRIDE;
@@ -1079,16 +950,98 @@ mod tests {
             Arc::new(SharedPrefixWorkload::new(op, 32)),
             Arc::new(GqaDecodeWorkload::new(op)),
         ];
-        let cfg = TraceGenConfig::default();
-        for w in &workloads {
-            w.validate().unwrap();
-            for layout in Layout::ALL {
-                let mapping = w.mapping(layout, 32, cfg.num_cores);
-                mapping.validate(&w.shape()).unwrap();
-                let (p, meta) = w.generate(&mapping, &cfg);
-                assert_eq!(p.num_blocks(), meta.num_blocks);
-                assert!(meta.total_load_bytes > 0);
+        // The second config flushes every 5 rows of a 32-row tile, so
+        // every block ends with a trailing partial flush.
+        let cfgs = [
+            TraceGenConfig::default(),
+            TraceGenConfig {
+                compute_cycles_per_row: 3,
+                compute_flush_rows: 5,
+                ..Default::default()
+            },
+        ];
+        // FNV-1a of every serialized program, per config, workload and
+        // layout (in `Layout::ALL` order).
+        const PINS: [[[u64; 4]; 5]; 2] = [
+            [
+                [
+                    0xd93b35eec4f6853f,
+                    0x13413639c4b822eb,
+                    0x1e4eae1de45127d3,
+                    0x13413639c4b822eb,
+                ],
+                [
+                    0xa3a7fc82948a0812,
+                    0x3a7dc7dcc1bc7566,
+                    0xca81a55a27470242,
+                    0x3a7dc7dcc1bc7566,
+                ],
+                [
+                    0x8c43f0778eae4caf,
+                    0x8c1725681e24aadb,
+                    0x18080ef489b71e51,
+                    0x8c1725681e24aadb,
+                ],
+                [
+                    0x2bec268df655926b,
+                    0xd876cfc2479028f7,
+                    0xffc32ab7e0b13467,
+                    0xd876cfc2479028f7,
+                ],
+                [
+                    0x6bcbd92118a9cfda,
+                    0xf35acbc0ce8d4d6e,
+                    0x3b7b466ec5d9c98c,
+                    0xf35acbc0ce8d4d6e,
+                ],
+            ],
+            [
+                [
+                    0x01a46c1577eae241,
+                    0x7593b9e59fe72bfd,
+                    0xbafe0fd035d76ce1,
+                    0x7593b9e59fe72bfd,
+                ],
+                [
+                    0x6d6dcf13dbe7f8f4,
+                    0xd86142ed52cc3128,
+                    0xbc3d4234415c16ee,
+                    0xd86142ed52cc3128,
+                ],
+                [
+                    0x7eb01c392c16e0ef,
+                    0x27f9dab3e225d41b,
+                    0xec5346cbc0c97b59,
+                    0x27f9dab3e225d41b,
+                ],
+                [
+                    0x8c94024a5d467a71,
+                    0x5de26601f4444cad,
+                    0xf037bf62eb7204d9,
+                    0x5de26601f4444cad,
+                ],
+                [
+                    0x740ed1c42b65b0ee,
+                    0x1e204fe73e7e30f2,
+                    0x447314c167a3f05c,
+                    0x1e204fe73e7e30f2,
+                ],
+            ],
+        ];
+        let mut got = [[[0u64; 4]; 5]; 2];
+        for (c, cfg) in cfgs.iter().enumerate() {
+            for (wi, w) in workloads.iter().enumerate() {
+                w.validate().unwrap();
+                for (li, layout) in Layout::ALL.into_iter().enumerate() {
+                    let mapping = w.mapping(layout, 32, cfg.num_cores);
+                    mapping.validate(&w.shape()).unwrap();
+                    let (p, meta) = w.generate(&mapping, cfg);
+                    assert_eq!(p.num_blocks(), meta.num_blocks);
+                    assert!(meta.total_load_bytes > 0);
+                    got[c][wi][li] = crate::tracegen::program_fnv1a(&p);
+                }
             }
         }
+        assert_eq!(got, PINS, "a generated trace changed");
     }
 }

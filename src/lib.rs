@@ -7,8 +7,9 @@
 //!   (DDR5 DRAM, sliced LLC with MSHRs, vector cores, mesh NoC);
 //! * [`trace`] (`llamcat-trace`) — analytical dataflow model and
 //!   memory-trace generator (the Timeloop-class front-end), including
-//!   the open `Workload` trait (Logit, attention-output A·V, chunked
-//!   prefill) and the serde `WorkloadSpec` campaign currency;
+//!   the open `Workload` trait (decode Logit, attention-output A·V,
+//!   chunked prefill, shared-prefix Logit, fused GQA decode) and the
+//!   serde `WorkloadSpec` campaign currency;
 //! * [`llamcat`] — the paper's contribution: balanced / MSHR-aware
 //!   LLC arbitration and two-level dynamic multi-gear throttling, with
 //!   the DYNCTA / LCS / COBRRA baselines, the experiment API and the

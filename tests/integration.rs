@@ -143,7 +143,9 @@ fn experiment_reports_carry_metrics() {
 fn trace_file_round_trip_through_simulation() {
     use llamcat_trace::prelude::*;
     let op = LogitOp::llama3_70b(256);
-    let (program, meta) = generate_default(&op, &TraceGenConfig::default());
+    let cfg = TraceGenConfig::default();
+    let mapping = Layout::Spatial.mapping(&op, 32, cfg.num_cores);
+    let (program, meta) = LogitWorkload::new(op).generate(&mapping, &cfg);
     let tf = TraceFile { op, meta, program };
     let mut buf = Vec::new();
     tf.write_binary(&mut buf).unwrap();

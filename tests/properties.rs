@@ -207,7 +207,9 @@ proptest! {
             head_dim: 128,
         };
         prop_assume!(op.validate().is_ok());
-        let (program, meta) = generate_default(&op, &TraceGenConfig::default());
+        let cfg = TraceGenConfig::default();
+        let mapping = Layout::Spatial.mapping(&op, 32, cfg.num_cores);
+        let (program, meta) = LogitWorkload::new(op).generate(&mapping, &cfg);
         prop_assert_eq!(meta.num_blocks, heads * group * ltiles);
         let q_end = Q_BASE + op.q_bytes();
         let k_end = K_BASE + op.k_bytes();
