@@ -891,6 +891,50 @@ mod tests {
         }
     }
 
+    /// Runs table 5 with `patch` applied, which must be rejected as
+    /// an `InvalidConfig` before any system is built.
+    fn assert_invalid_config(patch: impl FnOnce(&mut SystemConfig)) {
+        let mut cfg = SystemConfig::table5();
+        patch(&mut cfg);
+        let e = Experiment::from_spec(&WorkloadSpec::llama3_70b(), 128).config(cfg);
+        assert!(matches!(
+            e.try_run(),
+            Err(ExperimentError::InvalidConfig(_))
+        ));
+    }
+
+    #[test]
+    fn zero_l2_associativity_is_invalid_config() {
+        assert_invalid_config(|c| c.l2.associativity = 0);
+    }
+
+    #[test]
+    fn zero_l1_associativity_is_invalid_config() {
+        assert_invalid_config(|c| c.l1.geometry.associativity = 0);
+    }
+
+    #[test]
+    fn l2_associativity_above_64_is_invalid_config() {
+        // 2 MiB slices of 128 ways: a power-of-two 256 sets per slice.
+        assert_invalid_config(|c| c.l2.associativity = 128);
+    }
+
+    #[test]
+    fn l1_associativity_above_64_is_invalid_config() {
+        // 1 MiB of 128 ways: a power-of-two 128 sets.
+        assert_invalid_config(|c| {
+            c.l1.geometry.associativity = 128;
+            c.l1.geometry.capacity_bytes = 1 << 20;
+        });
+    }
+
+    #[test]
+    fn l1_line_bytes_other_than_64_is_invalid_config() {
+        for line_bytes in [0, 32, 128] {
+            assert_invalid_config(|c| c.l1.geometry.line_bytes = line_bytes);
+        }
+    }
+
     #[test]
     fn solo_runs_report_one_request() {
         let report = Experiment::from_spec(&WorkloadSpec::llama3_70b(), 128).run();

@@ -7,6 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use crate::cache::MAX_ASSOC;
 use crate::noc::Noc;
 use crate::types::LINE_BYTES;
 
@@ -29,7 +30,8 @@ pub struct CacheGeometry {
     pub capacity_bytes: u64,
     /// Associativity (ways per set).
     pub associativity: usize,
-    /// Line size in bytes. Always 64 in the paper's configuration.
+    /// Line size in bytes: must be [`LINE_BYTES`] (the paper's 64),
+    /// since every cache indexes 64-byte lines.
     pub line_bytes: u64,
 }
 
@@ -338,6 +340,19 @@ impl SystemConfig {
         }
         if !self.dram.channels.is_power_of_two() {
             return Err("DRAM channels must be a power of two".into());
+        }
+        // Checked before any set count is derived: both divide by the
+        // associativity, and every cache indexes `LINE_BYTES` lines.
+        for (level, assoc) in [
+            ("L1", self.l1.geometry.associativity),
+            ("L2", self.l2.associativity),
+        ] {
+            if !(1..=MAX_ASSOC).contains(&assoc) {
+                return Err(format!("{level} associativity must lie in 1..={MAX_ASSOC}"));
+            }
+        }
+        if self.l1.geometry.line_bytes != LINE_BYTES {
+            return Err(format!("L1 line_bytes must be {LINE_BYTES}"));
         }
         if self.l2.sets_per_slice() == 0 {
             return Err("L2 slice must contain at least one set".into());

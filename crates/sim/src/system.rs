@@ -565,8 +565,11 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
     }
 
     /// End-of-run conservation on [`RunOutcome::Completed`], checked in
-    /// debug builds: every pool handle was released, and every request
-    /// either completed or was rejected.
+    /// debug builds: every pool handle was released, every request
+    /// either completed or was rejected, and the run's statistics pass
+    /// [`SimStats::check_consistency`] (per-request LLC and KV counters
+    /// partition the totals). Empty MSHR files, NoC wheels and DRAM
+    /// queues need no check here: [`System::is_done`] requires them.
     fn debug_assert_conserved(&self) {
         debug_assert_eq!(self.pool.live(), 0, "live ReqPool handles at completion");
         debug_assert!(
@@ -575,6 +578,7 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
                 .all(|r| r.completed || r.rejected.is_some()),
             "a request neither completed nor was rejected"
         );
+        debug_assert_eq!(self.collect_stats().check_consistency(), Ok(()));
     }
 
     /// The budget-exhausted outcome, carrying per-request completion.
