@@ -341,8 +341,8 @@ impl Experiment {
     }
 
     /// Validates the experiment and builds its system — trace, program
-    /// mapping, flat program, component preallocation, injector and KV
-    /// tier — pre-tick under `policy`, with the run's cycle budget.
+    /// mapping, component preallocation, injector and KV tier —
+    /// pre-tick under `policy`, with the run's cycle budget.
     fn build_system(
         &self,
         policy: &PolicySpec,
@@ -393,10 +393,10 @@ impl Experiment {
     }
 
     /// Builds this experiment's scenario — trace generation, program
-    /// mapping, flat-program build, component preallocation, injector
-    /// and KV tier — once, and freezes it pre-tick as a policy-neutral
-    /// base snapshot. [`Experiment::run_forked`] then stamps any policy
-    /// onto an independent fork.
+    /// mapping, component preallocation, injector and KV tier — once,
+    /// and freezes it pre-tick as a policy-neutral base snapshot.
+    /// [`Experiment::run_forked`] then stamps any policy onto an
+    /// independent fork.
     ///
     /// The experiment's own `policy` is ignored: everything captured is
     /// policy independent. Policies influence behaviour from the very
@@ -926,13 +926,6 @@ mod tests {
             c.l1.geometry.associativity = 128;
             c.l1.geometry.capacity_bytes = 1 << 20;
         });
-    }
-
-    #[test]
-    fn l1_line_bytes_other_than_64_is_invalid_config() {
-        for line_bytes in [0, 32, 128] {
-            assert_invalid_config(|c| c.l1.geometry.line_bytes = line_bytes);
-        }
     }
 
     #[test]

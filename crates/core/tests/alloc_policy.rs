@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use llamcat::spec::PolicySpec;
 use llamcat_sim::config::SystemConfig;
-use llamcat_sim::prog::{Instr, Program, ThreadBlock};
+use llamcat_sim::prog::{Instr, Program};
 use llamcat_sim::system::System;
 
 struct CountingAlloc;
@@ -57,7 +57,7 @@ fn fig7_shaped_program(cores: usize, blocks_per_core: usize, rows: usize) -> Pro
             addr: base,
             bytes: 64,
         });
-        blocks.push(ThreadBlock { instrs });
+        blocks.push(instrs);
     }
     Program::round_robin(blocks, cores)
 }

@@ -28,17 +28,15 @@ pub enum ReqRespPolicy {
 pub struct CacheGeometry {
     /// Total capacity in bytes.
     pub capacity_bytes: u64,
-    /// Associativity (ways per set).
+    /// Associativity (ways per set). Lines are [`LINE_BYTES`] long, as
+    /// in every cache of the machine.
     pub associativity: usize,
-    /// Line size in bytes: must be [`LINE_BYTES`] (the paper's 64),
-    /// since every cache indexes 64-byte lines.
-    pub line_bytes: u64,
 }
 
 impl CacheGeometry {
     /// Number of sets implied by the geometry.
     pub fn num_sets(&self) -> usize {
-        (self.capacity_bytes / (self.line_bytes * self.associativity as u64)) as usize
+        (self.capacity_bytes / (LINE_BYTES * self.associativity as u64)) as usize
     }
 }
 
@@ -286,7 +284,6 @@ impl SystemConfig {
                 geometry: CacheGeometry {
                     capacity_bytes: 64 * 1024,
                     associativity: 8,
-                    line_bytes: LINE_BYTES,
                 },
                 latency: 1,
                 miss_entries: 32,
@@ -350,9 +347,6 @@ impl SystemConfig {
             if !(1..=MAX_ASSOC).contains(&assoc) {
                 return Err(format!("{level} associativity must lie in 1..={MAX_ASSOC}"));
             }
-        }
-        if self.l1.geometry.line_bytes != LINE_BYTES {
-            return Err(format!("L1 line_bytes must be {LINE_BYTES}"));
         }
         if self.l2.sets_per_slice() == 0 {
             return Err("L2 slice must contain at least one set".into());
@@ -440,6 +434,16 @@ mod tests {
         let c = SystemConfig::table5();
         // 64 KB / (64 B * 8) = 128 sets.
         assert_eq!(c.l1.geometry.num_sets(), 128);
+        // Config files that still carry the retired `line_bytes` field
+        // parse to the same machine.
+        let json = serde_json::to_string(&c).unwrap();
+        let old = json.replacen(
+            r#""associativity":8}"#,
+            r#""associativity":8,"line_bytes":64}"#,
+            1,
+        );
+        assert_ne!(old, json);
+        assert_eq!(serde_json::from_str::<SystemConfig>(&old).unwrap(), c);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 use crate::config::{CoreConfig, L1Config};
 use crate::l1::{L1Cache, L1Class, L1LoadOutcome};
 use crate::pool::{ReqHandle, ReqPool};
-use crate::prog::{FlatProgram, Instr, TbId};
+use crate::prog::{Instr, Program, TbId};
 use crate::sched::TbScheduler;
 use crate::stats::CoreStats;
 use crate::types::{line_of, Addr, CoreId, Cycle, MemReq, MemResp, LINE_BYTES};
@@ -157,7 +157,7 @@ impl VectorCore {
     pub fn tick(
         &mut self,
         now: Cycle,
-        program: &FlatProgram,
+        program: &Program,
         sched: &mut TbScheduler,
         pool: &mut ReqPool,
     ) {
@@ -238,7 +238,7 @@ impl VectorCore {
         }
     }
 
-    fn try_issue(&mut self, now: Cycle, program: &FlatProgram, pool: &mut ReqPool) -> IssueResult {
+    fn try_issue(&mut self, now: Cycle, program: &Program, pool: &mut ReqPool) -> IssueResult {
         if self.resident_tbs() == 0 {
             return IssueResult::NothingResident;
         }
@@ -264,7 +264,7 @@ impl VectorCore {
         &mut self,
         wi: usize,
         now: Cycle,
-        program: &FlatProgram,
+        program: &Program,
         pool: &mut ReqPool,
     ) -> bool {
         let w = self.windows[wi];
@@ -499,14 +499,13 @@ impl VectorCore {
 mod tests {
     use super::*;
     use crate::config::SystemConfig;
-    use crate::prog::{Program, ThreadBlock};
 
-    fn setup(blocks: Vec<ThreadBlock>) -> (VectorCore, FlatProgram, TbScheduler, ReqPool) {
+    fn setup(blocks: Vec<Vec<Instr>>) -> (VectorCore, Program, TbScheduler, ReqPool) {
         let cfg = SystemConfig::table5();
         let program = Program::round_robin(blocks, 1);
         let sched = TbScheduler::new(&program, 1, 4);
         let core = VectorCore::new(0, cfg.core, cfg.l1);
-        (core, FlatProgram::new(&program), sched, ReqPool::default())
+        (core, program, sched, ReqPool::default())
     }
 
     fn load(addr: Addr) -> Instr {
@@ -515,9 +514,7 @@ mod tests {
 
     #[test]
     fn executes_compute_only_block() {
-        let tb = ThreadBlock {
-            instrs: vec![Instr::Compute { cycles: 3 }, Instr::Compute { cycles: 2 }],
-        };
+        let tb = vec![Instr::Compute { cycles: 3 }, Instr::Compute { cycles: 2 }];
         let (mut core, program, mut sched, mut pool) = setup(vec![tb]);
         let mut now = 0;
         while core.stats.tbs_completed == 0 && now < 100 {
@@ -531,9 +528,7 @@ mod tests {
 
     #[test]
     fn load_generates_line_requests_and_waits() {
-        let tb = ThreadBlock {
-            instrs: vec![load(0), Instr::Barrier],
-        };
+        let tb = vec![load(0), Instr::Barrier];
         let (mut core, program, mut sched, mut pool) = setup(vec![tb]);
         for now in 0..5 {
             core.tick(now, &program, &mut sched, &mut pool);
@@ -576,9 +571,7 @@ mod tests {
     fn window_switching_hides_latency() {
         // Two blocks, each: load + barrier. With 4 windows the core
         // issues block 2's load while block 1 waits.
-        let mk = |addr| ThreadBlock {
-            instrs: vec![load(addr), Instr::Barrier],
-        };
+        let mk = |addr| vec![load(addr), Instr::Barrier];
         let (mut core, program, mut sched, mut pool) = setup(vec![mk(0), mk(4096)]);
         for now in 0..4 {
             core.tick(now, &program, &mut sched, &mut pool);
@@ -590,9 +583,7 @@ mod tests {
 
     #[test]
     fn max_tb_limits_residency() {
-        let mk = |addr| ThreadBlock {
-            instrs: vec![load(addr), Instr::Barrier],
-        };
+        let mk = |addr| vec![load(addr), Instr::Barrier];
         let blocks: Vec<_> = (0..6).map(|i| mk(i * 4096)).collect();
         let (mut core, program, mut sched, mut pool) = setup(blocks);
         core.max_tb = 1;
@@ -605,12 +596,10 @@ mod tests {
 
     #[test]
     fn store_is_posted() {
-        let tb = ThreadBlock {
-            instrs: vec![Instr::Store {
-                addr: 64,
-                bytes: 64,
-            }],
-        };
+        let tb = vec![Instr::Store {
+            addr: 64,
+            bytes: 64,
+        }];
         let (mut core, program, mut sched, mut pool) = setup(vec![tb]);
         for now in 0..4 {
             core.tick(now, &program, &mut sched, &mut pool);
@@ -632,9 +621,7 @@ mod tests {
 
     #[test]
     fn l1_hit_avoids_traffic() {
-        let tb = ThreadBlock {
-            instrs: vec![load(0), Instr::Barrier, load(0), Instr::Barrier],
-        };
+        let tb = vec![load(0), Instr::Barrier, load(0), Instr::Barrier];
         let (mut core, program, mut sched, mut pool) = setup(vec![tb]);
         for now in 0..5 {
             core.tick(now, &program, &mut sched, &mut pool);

@@ -34,17 +34,17 @@
 //! use llamcat_sim::prelude::*;
 //!
 //! // Two thread blocks, each loading 256 bytes then synchronizing.
-//! let blocks: Vec<ThreadBlock> = (0..2)
-//!     .map(|b| ThreadBlock {
-//!         instrs: vec![
+//! let cfg = SystemConfig::table5();
+//! let mut program = Program::default();
+//! for b in 0..2 {
+//!     program.push_block(b as usize % cfg.num_cores, |instrs| {
+//!         instrs.extend([
 //!             Instr::Load { addr: b * 4096, bytes: 128 },
 //!             Instr::Load { addr: b * 4096 + 128, bytes: 128 },
 //!             Instr::Barrier,
-//!         ],
-//!     })
-//!     .collect();
-//! let cfg = SystemConfig::table5();
-//! let program = Program::round_robin(blocks, cfg.num_cores);
+//!         ])
+//!     });
+//! }
 //! let mut system = System::new(cfg, program, &|_slice| FifoArbiter, NoThrottle);
 //! let (stats, outcome) = system.run(1_000_000);
 //! assert_eq!(outcome, RunOutcome::Completed);
@@ -83,7 +83,7 @@ pub mod prelude {
     pub use crate::kv::{KvEviction, KvTier, KvTierConfig, SHARED_KV_BASE};
     pub use crate::mshr::MshrFile;
     pub use crate::pool::{ReqHandle, ReqPool};
-    pub use crate::prog::{Instr, Program, TbId, ThreadBlock};
+    pub use crate::prog::{Instr, Program, TbId};
     pub use crate::serve::{RequestInjector, ServePolicy};
     pub use crate::stats::SimStats;
     pub use crate::system::{RunOutcome, System};

@@ -5,6 +5,10 @@
 //! operations, memory access addresses, R/W". A trace is partitioned
 //! into *thread blocks* — the unit the runtime scheduler assigns to
 //! instruction windows and migrates between cores.
+//!
+//! A [`Program`] is the one representation of a trace, from generation
+//! to simulation: all blocks' instructions in one arena, read block by
+//! block as slices. The system shares it as it is, copying nothing.
 
 use serde::{Deserialize, Serialize};
 
@@ -25,103 +29,8 @@ pub enum Instr {
     Barrier,
 }
 
-/// A schedulable unit: a short sequence of instructions covering 1–2
-/// output cache lines (Section 6.2.2).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ThreadBlock {
-    pub instrs: Vec<Instr>,
-}
-
-impl ThreadBlock {
-    /// Number of vector loads in the block.
-    pub fn num_loads(&self) -> usize {
-        self.instrs
-            .iter()
-            .filter(|i| matches!(i, Instr::Load { .. }))
-            .count()
-    }
-
-    /// Number of vector stores in the block.
-    pub fn num_stores(&self) -> usize {
-        self.instrs
-            .iter()
-            .filter(|i| matches!(i, Instr::Store { .. }))
-            .count()
-    }
-
-    /// Total bytes loaded.
-    pub fn bytes_loaded(&self) -> u64 {
-        self.instrs
-            .iter()
-            .map(|i| match i {
-                Instr::Load { bytes, .. } => *bytes as u64,
-                _ => 0,
-            })
-            .sum()
-    }
-
-    /// Total bytes stored.
-    pub fn bytes_stored(&self) -> u64 {
-        self.instrs
-            .iter()
-            .map(|i| match i {
-                Instr::Store { bytes, .. } => *bytes as u64,
-                _ => 0,
-            })
-            .sum()
-    }
-}
-
 /// Identifier of a thread block within a [`Program`].
 pub type TbId = usize;
-
-/// Flattened, cache-dense view of a [`Program`] for the per-cycle issue
-/// path: all instructions in one contiguous array with per-block
-/// offsets and request tags in parallel arrays. The nested
-/// `Vec<ThreadBlock>` costs two dependent pointer loads per
-/// instruction fetch — paid by every window evaluation of every awake
-/// core tick; the flat view costs one load from a dense offset table.
-/// Built once by the system at construction; the serde-facing
-/// [`Program`] is unchanged.
-#[derive(Debug, Clone)]
-pub struct FlatProgram {
-    instrs: Vec<Instr>,
-    /// `start[tb]..start[tb + 1]` is block `tb`'s instruction range.
-    start: Vec<u32>,
-    /// Per-block serving-request tag (resolved; never empty).
-    request: Vec<RequestId>,
-}
-
-impl FlatProgram {
-    pub fn new(p: &Program) -> Self {
-        let total: usize = p.blocks.iter().map(|b| b.instrs.len()).sum();
-        let mut instrs = Vec::with_capacity(total);
-        let mut start = Vec::with_capacity(p.blocks.len() + 1);
-        for b in &p.blocks {
-            start.push(instrs.len() as u32);
-            instrs.extend_from_slice(&b.instrs);
-        }
-        start.push(instrs.len() as u32);
-        let request = (0..p.blocks.len()).map(|tb| p.request_of(tb)).collect();
-        FlatProgram {
-            instrs,
-            start,
-            request,
-        }
-    }
-
-    /// Block `tb`'s instructions.
-    #[inline]
-    pub fn block(&self, tb: TbId) -> &[Instr] {
-        &self.instrs[self.start[tb] as usize..self.start[tb + 1] as usize]
-    }
-
-    /// Serving request of block `tb`.
-    #[inline]
-    pub fn request_of(&self, tb: TbId) -> RequestId {
-        self.request[tb]
-    }
-}
 
 /// Identifier of a serving request (tenant) within a [`Program`].
 ///
@@ -133,6 +42,13 @@ pub type RequestId = u32;
 /// A complete operator trace: thread blocks plus their initial
 /// assignment to cores.
 ///
+/// A thread block is a short sequence of instructions covering 1–2
+/// output cache lines (Section 6.2.2). Every block lives in one
+/// instruction arena, back to back in block order: trace generation
+/// appends blocks in place ([`Program::push_block`]) and the simulator
+/// reads block `tb` as the slice [`Program::block`] returns. The trace
+/// files of `llamcat_trace::format` convert to and from this layout.
+///
 /// `assignment[i]` is the home core of block `i`; the runtime scheduler
 /// may migrate blocks to other cores when their home core falls behind.
 ///
@@ -140,60 +56,114 @@ pub type RequestId = u32;
 /// request it belongs to and the cycle at which that request arrives
 /// (blocks are not schedulable before their arrival). Both vectors are
 /// optional: empty means "one request, present from cycle 0" — the
-/// solo-trace legacy encoding, byte-compatible with pre-mix programs.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// solo-trace encoding.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Program {
-    pub blocks: Vec<ThreadBlock>,
+    /// Every block's instructions, back to back in block order.
+    instrs: Vec<Instr>,
+    /// `start[tb]..start[tb + 1]` is block `tb`'s range of `instrs`
+    /// (one entry more than there are blocks).
+    start: Vec<u32>,
     pub assignment: Vec<usize>,
     /// Per-block request id; empty = all blocks belong to request 0.
-    #[serde(default)]
     pub request_tags: Vec<RequestId>,
     /// Per-block release cycle; empty = all blocks available at cycle 0.
-    #[serde(default)]
     pub arrivals: Vec<Cycle>,
 }
 
+impl Default for Program {
+    fn default() -> Self {
+        Program::with_capacity(0, 0)
+    }
+}
+
 impl Program {
-    pub fn new(blocks: Vec<ThreadBlock>, assignment: Vec<usize>) -> Self {
-        assert_eq!(blocks.len(), assignment.len());
+    /// An empty program with room for `blocks` blocks holding `instrs`
+    /// instructions in all.
+    pub fn with_capacity(blocks: usize, instrs: usize) -> Self {
+        let mut start = Vec::with_capacity(blocks + 1);
+        start.push(0);
         Program {
-            blocks,
-            assignment,
+            instrs: Vec::with_capacity(instrs),
+            start,
+            assignment: Vec::with_capacity(blocks),
             request_tags: Vec::new(),
             arrivals: Vec::new(),
         }
     }
 
-    /// A fully tagged multi-tenant program. `request_tags` and
-    /// `arrivals` must either match `blocks` in length or be empty
+    /// Appends one thread block homed on `core`: `fill` pushes the
+    /// block's instructions onto the end of the arena, which already
+    /// holds every earlier block's.
+    pub fn push_block(&mut self, core: usize, fill: impl FnOnce(&mut Vec<Instr>)) {
+        let first = self.instrs.len();
+        fill(&mut self.instrs);
+        assert!(
+            self.instrs.len() >= first,
+            "a block may only append to the arena"
+        );
+        let end = u32::try_from(self.instrs.len())
+            .expect("a program holds at most u32::MAX instructions");
+        self.start.push(end);
+        self.assignment.push(core);
+    }
+
+    /// Drops the arena's spare capacity.
+    pub fn shrink_to_fit(&mut self) {
+        self.instrs.shrink_to_fit();
+    }
+
+    /// A fully tagged program, built block by block (tests and
+    /// examples): one home core per block in `assignment`, and per-block
+    /// `request_tags` and `arrivals` that are either complete or empty
     /// (the solo defaults).
-    pub fn with_requests(
-        blocks: Vec<ThreadBlock>,
+    pub fn with_requests<B: AsRef<[Instr]>>(
+        blocks: impl IntoIterator<Item = B>,
         assignment: Vec<usize>,
         request_tags: Vec<RequestId>,
         arrivals: Vec<Cycle>,
     ) -> Self {
-        assert_eq!(blocks.len(), assignment.len());
-        assert!(request_tags.is_empty() || request_tags.len() == blocks.len());
-        assert!(arrivals.is_empty() || arrivals.len() == blocks.len());
-        Program {
-            blocks,
-            assignment,
-            request_tags,
-            arrivals,
-        }
+        let mut program = Program::round_robin(blocks, 1);
+        let n = program.num_blocks();
+        assert_eq!(assignment.len(), n, "one home core per block");
+        assert!([0, n].contains(&request_tags.len()) && [0, n].contains(&arrivals.len()));
+        program.assignment = assignment;
+        program.request_tags = request_tags;
+        program.arrivals = arrivals;
+        program
     }
 
     /// Round-robin assignment of `blocks` over `num_cores` cores, in
     /// block order (consecutive blocks land on consecutive cores, which
     /// is what keeps GQA-sharing blocks temporally close).
-    pub fn round_robin(blocks: Vec<ThreadBlock>, num_cores: usize) -> Self {
-        let assignment = (0..blocks.len()).map(|i| i % num_cores).collect();
-        Program::new(blocks, assignment)
+    pub fn round_robin<B: AsRef<[Instr]>>(
+        blocks: impl IntoIterator<Item = B>,
+        num_cores: usize,
+    ) -> Self {
+        let mut program = Program::default();
+        for (i, block) in blocks.into_iter().enumerate() {
+            program.push_block(i % num_cores, |instrs| {
+                instrs.extend_from_slice(block.as_ref())
+            });
+        }
+        program
     }
 
     pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
+        self.start.len() - 1
+    }
+
+    /// Block `tb`'s instructions.
+    #[inline]
+    pub fn block(&self, tb: TbId) -> &[Instr] {
+        &self.instrs[self.start[tb] as usize..self.start[tb + 1] as usize]
+    }
+
+    /// Every block's instructions, in block order.
+    pub fn blocks(&self) -> impl ExactSizeIterator<Item = &[Instr]> {
+        self.start
+            .windows(2)
+            .map(|w| &self.instrs[w[0] as usize..w[1] as usize])
     }
 
     /// Request that thread block `tb` belongs to (0 for solo traces).
@@ -222,7 +192,7 @@ impl Program {
     pub fn blocks_per_request(&self) -> Vec<u64> {
         let mut counts = vec![0u64; self.num_requests()];
         if self.request_tags.is_empty() {
-            counts[0] = self.blocks.len() as u64;
+            counts[0] = self.num_blocks() as u64;
         } else {
             for &r in &self.request_tags {
                 counts[r as usize] += 1;
@@ -235,7 +205,7 @@ impl Program {
     /// blocks; 0 for requests without blocks).
     pub fn request_arrivals(&self) -> Vec<Cycle> {
         let mut arrivals = vec![Cycle::MAX; self.num_requests()];
-        for tb in 0..self.blocks.len() {
+        for tb in 0..self.num_blocks() {
             let r = self.request_of(tb) as usize;
             arrivals[r] = arrivals[r].min(self.arrival_of(tb));
         }
@@ -246,16 +216,6 @@ impl Program {
         }
         arrivals
     }
-
-    /// Total bytes of load traffic in the program.
-    pub fn total_load_bytes(&self) -> u64 {
-        self.blocks.iter().map(|b| b.bytes_loaded()).sum()
-    }
-
-    /// Total bytes of store traffic in the program.
-    pub fn total_store_bytes(&self) -> u64 {
-        self.blocks.iter().map(|b| b.bytes_stored()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -264,40 +224,43 @@ mod tests {
 
     #[test]
     fn block_accounting() {
-        let tb = ThreadBlock {
-            instrs: vec![
-                Instr::Load {
-                    addr: 0,
-                    bytes: 128,
-                },
-                Instr::Compute { cycles: 4 },
-                Instr::Load {
-                    addr: 128,
-                    bytes: 128,
-                },
-                Instr::Barrier,
-                Instr::Store {
-                    addr: 4096,
-                    bytes: 64,
-                },
+        let p = Program::round_robin(
+            [
+                vec![
+                    Instr::Load {
+                        addr: 0,
+                        bytes: 128,
+                    },
+                    Instr::Compute { cycles: 4 },
+                    Instr::Load {
+                        addr: 128,
+                        bytes: 128,
+                    },
+                    Instr::Barrier,
+                    Instr::Store {
+                        addr: 4096,
+                        bytes: 64,
+                    },
+                ],
+                vec![Instr::Barrier],
             ],
-        };
-        assert_eq!(tb.num_loads(), 2);
-        assert_eq!(tb.num_stores(), 1);
-        assert_eq!(tb.bytes_loaded(), 256);
-        assert_eq!(tb.bytes_stored(), 64);
+            2,
+        );
+        assert_eq!(p.num_blocks(), 2);
+        assert_eq!(p.block(0).len(), 5);
+        assert_eq!(p.block(1), &[Instr::Barrier]);
+        assert_eq!(p.blocks().map(<[Instr]>::len).collect::<Vec<_>>(), [5, 1]);
     }
 
     #[test]
     fn round_robin_assignment() {
-        let blocks = vec![ThreadBlock::default(); 5];
-        let p = Program::round_robin(blocks, 2);
+        let p = Program::round_robin([[]; 5], 2);
         assert_eq!(p.assignment, vec![0, 1, 0, 1, 0]);
     }
 
     #[test]
     fn untagged_program_is_one_request_from_cycle_zero() {
-        let p = Program::round_robin(vec![ThreadBlock::default(); 3], 2);
+        let p = Program::round_robin([[]; 3], 2);
         assert_eq!(p.num_requests(), 1);
         assert_eq!(p.request_of(2), 0);
         assert_eq!(p.arrival_of(2), 0);
@@ -308,7 +271,7 @@ mod tests {
     #[test]
     fn tagged_program_tracks_requests_and_arrivals() {
         let p = Program::with_requests(
-            vec![ThreadBlock::default(); 4],
+            [[]; 4],
             vec![0, 1, 0, 1],
             vec![0, 1, 1, 0],
             vec![0, 500, 500, 0],
@@ -318,48 +281,5 @@ mod tests {
         assert_eq!(p.arrival_of(2), 500);
         assert_eq!(p.blocks_per_request(), vec![2, 2]);
         assert_eq!(p.request_arrivals(), vec![0, 500]);
-    }
-
-    #[test]
-    fn tagged_serde_round_trip() {
-        let p = Program::with_requests(
-            vec![ThreadBlock::default(); 2],
-            vec![0, 1],
-            vec![0, 1],
-            vec![0, 64],
-        );
-        let s = serde_json::to_string(&p).unwrap();
-        let q: Program = serde_json::from_str(&s).unwrap();
-        assert_eq!(q.request_tags, p.request_tags);
-        assert_eq!(q.arrivals, p.arrivals);
-    }
-
-    #[test]
-    fn legacy_json_without_tags_parses() {
-        let legacy = r#"{"blocks": [{"instrs": []}], "assignment": [0]}"#;
-        let p: Program = serde_json::from_str(legacy).unwrap();
-        assert_eq!(p.num_requests(), 1);
-        assert!(p.request_tags.is_empty());
-        assert!(p.arrivals.is_empty());
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let p = Program::round_robin(
-            vec![ThreadBlock {
-                instrs: vec![
-                    Instr::Load {
-                        addr: 64,
-                        bytes: 64,
-                    },
-                    Instr::Barrier,
-                ],
-            }],
-            1,
-        );
-        let s = serde_json::to_string(&p).unwrap();
-        let q: Program = serde_json::from_str(&s).unwrap();
-        assert_eq!(p.blocks, q.blocks);
-        assert_eq!(p.assignment, q.assignment);
     }
 }

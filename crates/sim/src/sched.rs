@@ -321,10 +321,10 @@ impl TbScheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prog::ThreadBlock;
+    use crate::prog::Instr;
 
     fn program(n: usize, cores: usize) -> Program {
-        Program::round_robin(vec![ThreadBlock::default(); n], cores)
+        Program::round_robin(vec![Vec::<Instr>::new(); n], cores)
     }
 
     #[test]

@@ -634,12 +634,12 @@ impl RequestInjector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prog::ThreadBlock;
+    use crate::prog::Instr;
 
     /// 2 requests x 2 blocks each, relative core 0..2, arrival-free.
     fn open_program(requests: usize, blocks_per: usize, cores: usize) -> Program {
         let n = requests * blocks_per;
-        let blocks = vec![ThreadBlock::default(); n];
+        let blocks = vec![Vec::<Instr>::new(); n];
         let assignment = (0..n).map(|i| i % cores).collect();
         let tags = (0..n).map(|i| (i / blocks_per) as RequestId).collect();
         Program::with_requests(blocks, assignment, tags, Vec::new())
@@ -927,7 +927,7 @@ mod tests {
         )
         .is_err());
         let gated = Program::with_requests(
-            vec![ThreadBlock::default(); 2],
+            vec![Vec::<Instr>::new(); 2],
             vec![0, 1],
             vec![0, 1],
             vec![0, 50],

@@ -26,7 +26,7 @@ use crate::kv::{KvClass, KvTier, KvTierConfig};
 use crate::llc::LlcSlice;
 use crate::noc::Noc;
 use crate::pool::ReqPool;
-use crate::prog::{FlatProgram, Program};
+use crate::prog::Program;
 use crate::sched::TbScheduler;
 use crate::serve::RequestInjector;
 use crate::stats::{RequestStats, SimStats};
@@ -96,12 +96,12 @@ where
     T: ThrottleController,
 {
     cfg: SystemConfig,
-    /// The scenario's instruction streams and request tags (see
-    /// [`FlatProgram`]), the only view of the trace the run reads.
+    /// The scenario's trace: the instruction arena the cores issue
+    /// from and the request tags retirements are booked to.
     /// Shared: cloning (and therefore [`System::snapshot`] /
     /// [`SystemState::fork`]) bumps a refcount instead of copying — every
-    /// fork of one scenario reads the same decoded trace.
-    flat: Arc<FlatProgram>,
+    /// fork of one scenario reads the same trace.
+    program: Arc<Program>,
     cores: Vec<VectorCore>,
     slices: Vec<LlcSlice<A>>,
     noc: Noc,
@@ -241,9 +241,9 @@ where
 impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
     /// Builds a system running `program` with the given policies.
     ///
-    /// The system keeps only what the run reads of `program` — the
-    /// scheduler's queues, the [`FlatProgram`] and the per-request
-    /// records — and drops the rest.
+    /// The system keeps `program` itself, shared, beside the
+    /// scheduler's queues and the per-request records built from it; no
+    /// instruction is copied.
     ///
     /// `make_arbiter` is invoked once per slice so each slice owns an
     /// independent arbiter instance.
@@ -295,13 +295,12 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
         for s in &mut slices {
             s.reserve_ingress(in_flight_bound);
         }
-        let flat = Arc::new(FlatProgram::new(&program));
         let blocks_total: u64 = requests.iter().map(|r| r.blocks_total).sum();
         System {
             core_period_ps: cfg.core_period_ps(),
             dram_period_ps: cfg.dram.timing.tck_ps,
             cfg,
-            flat,
+            program: Arc::new(program),
             cores,
             slices,
             noc,
@@ -337,12 +336,12 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
     ///
     /// This is the policy half of the campaign warm-up-and-fork fast
     /// path: scenario construction (trace generation, program mapping,
-    /// [`FlatProgram`] build, component preallocation) is policy
-    /// independent, so cells sharing a scenario fork one pre-tick base
-    /// snapshot and swap in their own policies. Each slice's arbiter is
-    /// reset exactly as construction would reset it, so the forked
-    /// system is byte-identical to one built fresh with these policies
-    /// (`crates/bench` pins this across the golden matrix).
+    /// component preallocation) is policy independent, so cells sharing
+    /// a scenario fork one pre-tick base snapshot and swap in their own
+    /// policies. Each slice's arbiter is reset exactly as construction
+    /// would reset it, so the forked system is byte-identical to one
+    /// built fresh with these policies (`crates/bench` pins this across
+    /// the golden matrix).
     ///
     /// Policies affect behaviour from cycle 0 (the throttle's phase-5
     /// sweep runs on the very first tick), which is why the swap is
@@ -597,7 +596,7 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
         while let Some(tb) = self.cores[core].retired.pop() {
             self.tb_retired = true;
             self.blocks_retired += 1;
-            let r = self.flat.request_of(tb);
+            let r = self.program.request_of(tb);
             let req = &mut self.requests[r as usize];
             req.blocks_completed += 1;
             req.first_retire.get_or_insert(now);
@@ -878,7 +877,7 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
                 }
                 Self::sync_core(&mut self.cores[c], &mut synced_core[c], now);
                 let tbs_before = self.cores[c].stats.tbs_completed;
-                self.cores[c].tick(now, &self.flat, &mut self.sched, &mut self.pool);
+                self.cores[c].tick(now, &self.program, &mut self.sched, &mut self.pool);
                 self.note_retirements(c, now);
                 while let Some(h) = self.cores[c].outbound.pop_front() {
                     let slice = self.slice_of(self.pool.get(h).line_addr);
@@ -1029,7 +1028,7 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
         self.noc
             .drain_resps(now, |c, resp| cores[c].on_resp(resp, now));
         for c in 0..self.cores.len() {
-            self.cores[c].tick(now, &self.flat, &mut self.sched, &mut self.pool);
+            self.cores[c].tick(now, &self.program, &mut self.sched, &mut self.pool);
             self.note_retirements(c, now);
             while let Some(h) = self.cores[c].outbound.pop_front() {
                 let slice = self.slice_of(self.pool.get(h).line_addr);
@@ -1180,7 +1179,7 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
 mod tests {
     use super::*;
     use crate::arb::{FifoArbiter, NoThrottle};
-    use crate::prog::{Instr, ThreadBlock};
+    use crate::prog::Instr;
 
     fn small_cfg() -> SystemConfig {
         let mut cfg = SystemConfig::table5();
@@ -1204,7 +1203,7 @@ mod tests {
                 instrs.push(Instr::Load { addr, bytes: 128 });
             }
             instrs.push(Instr::Barrier);
-            blocks.push(ThreadBlock { instrs });
+            blocks.push(instrs);
         }
         Program::round_robin(blocks, cores)
     }
@@ -1243,16 +1242,16 @@ mod tests {
     #[test]
     fn shared_lines_merge_or_hit() {
         // All four cores read the same 2 lines.
-        let mk = || ThreadBlock {
-            instrs: vec![
+        let mk = || {
+            vec![
                 Instr::Load {
                     addr: 0,
                     bytes: 128,
                 },
                 Instr::Barrier,
-            ],
+            ]
         };
-        let p = Program::round_robin((0..4).map(|_| mk()).collect(), 4);
+        let p = Program::round_robin((0..4).map(|_| mk()), 4);
         let (stats, _) = build(small_cfg(), p).run(1_000_000);
         let reads: u64 = stats.channels.iter().map(|c| c.reads).sum();
         assert_eq!(reads, 2, "sharing collapses into one fetch per line");
@@ -1281,9 +1280,7 @@ mod tests {
         // with an empty rest-of-run it stays resident: writebacks may be
         // zero. Force eviction via many conflicting fills is heavyweight;
         // here we just check the store flowed to DRAM as a fill read.
-        let tb = ThreadBlock {
-            instrs: vec![Instr::Store { addr: 0, bytes: 64 }],
-        };
+        let tb = vec![Instr::Store { addr: 0, bytes: 64 }];
         let p = Program::round_robin(vec![tb], 4);
         let (stats, outcome) = build(small_cfg(), p).run(1_000_000);
         assert_eq!(outcome, RunOutcome::Completed);
@@ -1321,21 +1318,19 @@ mod tests {
     fn skip_mode_matches_cycle_mode_with_compute() {
         let mut blocks = Vec::new();
         for b in 0..8u64 {
-            blocks.push(ThreadBlock {
-                instrs: vec![
-                    Instr::Compute { cycles: 37 },
-                    Instr::Load {
-                        addr: b * 4096,
-                        bytes: 128,
-                    },
-                    Instr::Compute { cycles: 11 },
-                    Instr::Barrier,
-                    Instr::Store {
-                        addr: b * 4096 + 2048,
-                        bytes: 64,
-                    },
-                ],
-            });
+            blocks.push(vec![
+                Instr::Compute { cycles: 37 },
+                Instr::Load {
+                    addr: b * 4096,
+                    bytes: 128,
+                },
+                Instr::Compute { cycles: 11 },
+                Instr::Barrier,
+                Instr::Store {
+                    addr: b * 4096 + 2048,
+                    bytes: 64,
+                },
+            ]);
         }
         let p = Program::round_robin(blocks, 4);
         assert_modes_equivalent(small_cfg(), p, 1_000_000);
@@ -1361,12 +1356,7 @@ mod tests {
         // One long-compute block, nothing else in the machine: the fast
         // path must cross the whole compute region in one jump and the
         // idle cores must accrue the same idle-cycle statistics.
-        let p = Program::round_robin(
-            vec![ThreadBlock {
-                instrs: vec![Instr::Compute { cycles: 100_000 }],
-            }],
-            4,
-        );
+        let p = Program::round_robin(vec![vec![Instr::Compute { cycles: 100_000 }]], 4);
         let (sc, oc) = build(small_cfg(), p.clone()).run_with_mode(1_000_000, StepMode::Cycle);
         let (ss, os) = build(small_cfg(), p).run_with_mode(1_000_000, StepMode::Skip);
         assert_eq!(oc, RunOutcome::Completed);
@@ -1386,16 +1376,14 @@ mod tests {
         for r in 0..requests {
             for b in 0..blocks_per {
                 let addr = ((r as u64) << 40) + (b as u64) * 256;
-                blocks.push(ThreadBlock {
-                    instrs: vec![
-                        Instr::Load { addr, bytes: 128 },
-                        Instr::Load {
-                            addr: addr + 128,
-                            bytes: 128,
-                        },
-                        Instr::Barrier,
-                    ],
-                });
+                blocks.push(vec![
+                    Instr::Load { addr, bytes: 128 },
+                    Instr::Load {
+                        addr: addr + 128,
+                        bytes: 128,
+                    },
+                    Instr::Barrier,
+                ]);
                 tags.push(r as u32);
             }
         }

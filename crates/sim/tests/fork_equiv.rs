@@ -23,7 +23,7 @@ use llamcat::spec::{ArrivalSpec, KvSpec, MixSpec, PolicySpec, ServePolicySpec, S
 use llamcat_sim::arb::{FifoArbiter, NoThrottle};
 use llamcat_sim::config::SystemConfig;
 use llamcat_sim::kv::{KvEviction, KvTierConfig};
-use llamcat_sim::prog::{Instr, Program, ThreadBlock};
+use llamcat_sim::prog::{Instr, Program};
 use llamcat_sim::serve::{RequestInjector, ServePolicy};
 use llamcat_sim::system::{RunOutcome, StepMode, System, SystemState};
 use llamcat_trace::workloads::WorkloadSpec;
@@ -301,19 +301,17 @@ fn open_kv_program(blocks_per_request: &[usize]) -> Program {
     for (r, &nblocks) in blocks_per_request.iter().enumerate() {
         let slot = (r as u64) << 40;
         for b in 0..nblocks {
-            blocks.push(ThreadBlock {
-                instrs: vec![
-                    Instr::Load {
-                        addr: slot + (b as u64) * 256,
-                        bytes: 128,
-                    },
-                    Instr::Load {
-                        addr: slot + (1 << 32) + (b as u64) * 256,
-                        bytes: 128,
-                    },
-                    Instr::Barrier,
-                ],
-            });
+            blocks.push(vec![
+                Instr::Load {
+                    addr: slot + (b as u64) * 256,
+                    bytes: 128,
+                },
+                Instr::Load {
+                    addr: slot + (1 << 32) + (b as u64) * 256,
+                    bytes: 128,
+                },
+                Instr::Barrier,
+            ]);
             tags.push(r as u32);
         }
     }

@@ -20,7 +20,7 @@ use llamcat::experiment::Experiment;
 use llamcat::spec::{MixSpec, PolicySpec};
 use llamcat_sim::arb::{FifoArbiter, NoThrottle};
 use llamcat_sim::config::SystemConfig;
-use llamcat_sim::prog::{Instr, Program, ThreadBlock};
+use llamcat_sim::prog::{Instr, Program};
 use llamcat_sim::stats::SimStats;
 use llamcat_sim::system::{RunOutcome, StepMode, System};
 use llamcat_trace::workloads::WorkloadSpec;
@@ -174,9 +174,9 @@ fn small_cfg(cores: usize) -> SystemConfig {
 }
 
 /// (address selector, shape selector, request tag) -> one block.
-fn decode_block(addr_sel: u64, kind: u8) -> ThreadBlock {
+fn decode_block(addr_sel: u64, kind: u8) -> Vec<Instr> {
     let addr = addr_sel * 128;
-    let instrs = match kind % 4 {
+    match kind % 4 {
         0 => vec![Instr::Load { addr, bytes: 128 }, Instr::Barrier],
         1 => vec![
             Instr::Compute { cycles: 17 },
@@ -195,8 +195,7 @@ fn decode_block(addr_sel: u64, kind: u8) -> ThreadBlock {
             },
             Instr::Barrier,
         ],
-    };
-    ThreadBlock { instrs }
+    }
 }
 
 /// Builds a randomly tagged, randomly staggered program. Tenants get

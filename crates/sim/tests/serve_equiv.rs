@@ -25,7 +25,7 @@ use llamcat::experiment::Experiment;
 use llamcat::spec::{ArrivalSpec, PolicySpec, ServePolicySpec, ServeSpec, SloSpec};
 use llamcat_sim::arb::{FifoArbiter, NoThrottle};
 use llamcat_sim::config::SystemConfig;
-use llamcat_sim::prog::{Instr, Program, ThreadBlock};
+use llamcat_sim::prog::{Instr, Program};
 use llamcat_sim::serve::{RequestInjector, ServePolicy};
 use llamcat_sim::stats::SimStats;
 use llamcat_sim::stats::SloOutcome;
@@ -394,15 +394,13 @@ fn gated_program(requests: u32, blocks_per: usize, cores: usize, releases: &[u64
     let mut arrivals = Vec::new();
     for r in 0..requests {
         for b in 0..blocks_per {
-            blocks.push(ThreadBlock {
-                instrs: vec![
-                    Instr::Load {
-                        addr: ((r as u64) << 40) + (b as u64) * 256,
-                        bytes: 128,
-                    },
-                    Instr::Barrier,
-                ],
-            });
+            blocks.push(vec![
+                Instr::Load {
+                    addr: ((r as u64) << 40) + (b as u64) * 256,
+                    bytes: 128,
+                },
+                Instr::Barrier,
+            ]);
             tags.push(r);
             assignment.push(b % cores);
             arrivals.push(releases[r as usize]);
@@ -490,13 +488,8 @@ fn partially_gated_program_agrees_at_the_limit() {
 fn fully_gated_injector_jumps_to_budget() {
     let budget = 3_000_000;
     // Open program: no per-block arrivals; the injector gates releases.
-    let p = gated_program(2, 3, 2, &[0, 0]);
-    let p = Program::with_requests(
-        p.blocks.clone(),
-        p.assignment.clone(),
-        p.request_tags.clone(),
-        Vec::new(),
-    );
+    let mut p = gated_program(2, 3, 2, &[0, 0]);
+    p.arrivals.clear();
     let run = |mode| {
         let injector = RequestInjector::new(
             &p,
@@ -544,15 +537,13 @@ fn narrow_open_program(n: u32, blocks_per: usize) -> Program {
     let mut tags = Vec::new();
     for r in 0..n {
         for b in 0..blocks_per {
-            blocks.push(ThreadBlock {
-                instrs: vec![
-                    Instr::Load {
-                        addr: ((r as u64) << 40) + (b as u64) * 256,
-                        bytes: 128,
-                    },
-                    Instr::Barrier,
-                ],
-            });
+            blocks.push(vec![
+                Instr::Load {
+                    addr: ((r as u64) << 40) + (b as u64) * 256,
+                    bytes: 128,
+                },
+                Instr::Barrier,
+            ]);
             tags.push(r);
         }
     }

@@ -25,7 +25,7 @@ use proptest::prelude::*;
 use llamcat_sim::arb::{FifoArbiter, ThrottleController, ThrottleInputs};
 use llamcat_sim::config::{DramConfig, SystemConfig};
 use llamcat_sim::dram::{AddressMapping, Channel, MappingScheme};
-use llamcat_sim::prog::{Instr, Program, ThreadBlock};
+use llamcat_sim::prog::{Instr, Program};
 use llamcat_sim::sched::TbScheduler;
 use llamcat_sim::system::{StepMode, System};
 use llamcat_sim::types::{Cycle, MemResp, LINE_BYTES};
@@ -36,9 +36,9 @@ use llamcat_sim::types::{Cycle, MemResp, LINE_BYTES};
 // ---------------------------------------------------------------------
 
 /// (address selector, shape selector, compute length) -> one block.
-fn decode_block(addr_sel: u64, kind: u8, compute: u32) -> ThreadBlock {
+fn decode_block(addr_sel: u64, kind: u8, compute: u32) -> Vec<Instr> {
     let addr = addr_sel * 128;
-    let instrs = match kind % 4 {
+    match kind % 4 {
         0 => vec![Instr::Load { addr, bytes: 128 }, Instr::Barrier],
         1 => vec![
             Instr::Compute { cycles: compute },
@@ -58,18 +58,11 @@ fn decode_block(addr_sel: u64, kind: u8, compute: u32) -> ThreadBlock {
             Instr::Barrier,
             Instr::Compute { cycles: compute },
         ],
-    };
-    ThreadBlock { instrs }
+    }
 }
 
 fn decode_program(blocks: &[(u64, u8, u32)], cores: usize) -> Program {
-    Program::round_robin(
-        blocks
-            .iter()
-            .map(|&(a, k, c)| decode_block(a, k, c))
-            .collect(),
-        cores,
-    )
+    Program::round_robin(blocks.iter().map(|&(a, k, c)| decode_block(a, k, c)), cores)
 }
 
 // ---------------------------------------------------------------------
@@ -279,7 +272,6 @@ proptest! {
         let program = decode_program(&blocks, 1);
         let total_blocks = program.num_blocks() as u64;
         let mut sched = TbScheduler::new(&program, 1, cfg.core.num_inst_windows);
-        let flat = llamcat_sim::prog::FlatProgram::new(&program);
         let mut core = VectorCore::new(0, cfg.core, cfg.l1);
         let mut pool = llamcat_sim::pool::ReqPool::default();
         // (due cycle, response) — emulates the LLC/NoC round trip.
@@ -310,7 +302,7 @@ proptest! {
             );
             let accrual_before =
                 core.stats.idle_cycles + core.stats.mem_stall_cycles + core.stats.active_cycles;
-            core.tick(now, &flat, &mut sched, &mut pool);
+            core.tick(now, &program, &mut sched, &mut pool);
             if quiet {
                 let after = (
                     core.stats.instrs_issued,

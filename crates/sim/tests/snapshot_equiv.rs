@@ -20,7 +20,7 @@ use llamcat::spec::PolicySpec;
 use llamcat_sim::arb::{ArbiterCtx, FifoArbiter, NoThrottle, RequestArbiter};
 use llamcat_sim::config::SystemConfig;
 use llamcat_sim::kv::{KvEviction, KvTierConfig};
-use llamcat_sim::prog::{Instr, Program, ThreadBlock};
+use llamcat_sim::prog::{Instr, Program};
 use llamcat_sim::serve::{RequestInjector, ServePolicy};
 use llamcat_sim::stats::SimStats;
 use llamcat_sim::system::{RunOutcome, StepMode, System};
@@ -159,19 +159,17 @@ fn open_kv_program(n: u32, blocks_per: usize) -> Program {
     for r in 0..n {
         let slot = (r as u64) << 40;
         for b in 0..blocks_per {
-            blocks.push(ThreadBlock {
-                instrs: vec![
-                    Instr::Load {
-                        addr: slot + (b as u64) * 256,
-                        bytes: 128,
-                    },
-                    Instr::Load {
-                        addr: slot + (1 << 32) + (b as u64) * 256,
-                        bytes: 128,
-                    },
-                    Instr::Barrier,
-                ],
-            });
+            blocks.push(vec![
+                Instr::Load {
+                    addr: slot + (b as u64) * 256,
+                    bytes: 128,
+                },
+                Instr::Load {
+                    addr: slot + (1 << 32) + (b as u64) * 256,
+                    bytes: 128,
+                },
+                Instr::Barrier,
+            ]);
             tags.push(r);
         }
     }
@@ -312,16 +310,14 @@ proptest! {
             let slot = (r as u64) << 40;
             for b in 0..nblocks {
                 let kv_base = if kv_heavy { 1u64 << 32 } else { 1u64 << 36 };
-                blocks.push(ThreadBlock {
-                    instrs: vec![
+                blocks.push(vec![
                         Instr::Load { addr: slot + (b as u64) * 512, bytes: 128 },
                         Instr::Load {
                             addr: slot + kv_base + (b as u64) * 256,
                             bytes: 128,
                         },
                         Instr::Barrier,
-                    ],
-                });
+                    ]);
                 tags.push(r as u32);
             }
         }

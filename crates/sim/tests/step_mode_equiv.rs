@@ -14,7 +14,7 @@ use llamcat::experiment::Experiment;
 use llamcat::spec::PolicySpec;
 use llamcat_sim::arb::{FifoArbiter, NoThrottle};
 use llamcat_sim::config::SystemConfig;
-use llamcat_sim::prog::{Instr, Program, ThreadBlock};
+use llamcat_sim::prog::{Instr, Program};
 use llamcat_sim::system::{RunOutcome, StepMode, System};
 use llamcat_trace::workloads::WorkloadSpec;
 
@@ -144,17 +144,15 @@ fn longer_run_is_mode_equivalent() {
 #[test]
 fn spent_budget_is_a_no_op_in_both_modes() {
     let cfg = SystemConfig::table5();
-    let blocks = (0..64u64)
-        .map(|b| ThreadBlock {
-            instrs: vec![
-                Instr::Load {
-                    addr: b * 4096,
-                    bytes: 128,
-                },
-                Instr::Barrier,
-            ],
-        })
-        .collect();
+    let blocks = (0..64u64).map(|b| {
+        [
+            Instr::Load {
+                addr: b * 4096,
+                bytes: 128,
+            },
+            Instr::Barrier,
+        ]
+    });
     let program = Program::round_robin(blocks, cfg.num_cores);
     let mut finals = Vec::new();
     for mode in [StepMode::Cycle, StepMode::Skip] {

@@ -5,12 +5,18 @@
 //! (cheap, analytical) and simulation (expensive, cycle-level) can run
 //! as separate pipeline stages — the same decoupling the paper's
 //! Timeloop → Ramulator2 flow uses.
+//!
+//! This module alone knows the on-disk shapes (the nested
+//! `{"blocks":[{"instrs":[…]}],…}` JSON and the v1/v2 binary layouts)
+//! and converts them to and from [`Program`]'s one instruction arena.
+//! A malformed file is an error, never a panic.
 
 use std::io::{self, Read, Write};
 
 use serde::{Deserialize, Serialize};
 
-use llamcat_sim::prog::{Instr, Program, ThreadBlock};
+use llamcat_sim::prog::{Instr, Program, RequestId};
+use llamcat_sim::types::Cycle;
 
 use crate::tracegen::TraceMeta;
 use crate::workload::LogitOp;
@@ -22,66 +28,122 @@ const MAGIC_V1: &[u8; 8] = b"LLAMCAT1";
 const MAGIC_V2: &[u8; 8] = b"LLAMCAT2";
 
 /// A trace plus the metadata needed to interpret or regenerate it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct TraceFile {
     pub op: LogitOp,
     pub meta: TraceMeta,
     pub program: Program,
 }
 
+/// The JSON shape of a [`TraceFile`].
+#[derive(Serialize, Deserialize)]
+struct TraceFileJson {
+    op: LogitOp,
+    meta: TraceMeta,
+    program: ProgramJson,
+}
+
+/// The JSON shape of a [`Program`]: one nested instruction list per
+/// block. `request_tags` and `arrivals` may be absent (solo traces
+/// written before requests existed).
+#[derive(Serialize, Deserialize)]
+struct ProgramJson {
+    blocks: Vec<BlockJson>,
+    assignment: Vec<usize>,
+    #[serde(default)]
+    request_tags: Vec<RequestId>,
+    #[serde(default)]
+    arrivals: Vec<Cycle>,
+}
+
+#[derive(Serialize, Deserialize)]
+struct BlockJson {
+    instrs: Vec<Instr>,
+}
+
+impl From<&Program> for ProgramJson {
+    fn from(p: &Program) -> Self {
+        ProgramJson {
+            blocks: (p.blocks())
+                .map(|b| BlockJson { instrs: b.to_vec() })
+                .collect(),
+            assignment: p.assignment.clone(),
+            request_tags: p.request_tags.clone(),
+            arrivals: p.arrivals.clone(),
+        }
+    }
+}
+
+impl ProgramJson {
+    /// The program, if every per-block vector covers every block.
+    fn into_program(self) -> Result<Program, String> {
+        let n = self.blocks.len();
+        let (cores, tags, arrivals) = (
+            self.assignment.len(),
+            self.request_tags.len(),
+            self.arrivals.len(),
+        );
+        if cores != n || ![0, n].contains(&tags) || ![0, n].contains(&arrivals) {
+            return Err(format!("trace has {n} blocks but {cores} home cores, {tags} request tags and {arrivals} arrivals"));
+        }
+        let instrs = self.blocks.iter().map(|b| b.instrs.len()).sum();
+        let mut program = Program::with_capacity(n, instrs);
+        for (block, core) in self.blocks.into_iter().zip(self.assignment) {
+            program.push_block(core, |arena| arena.extend(block.instrs));
+        }
+        program.request_tags = self.request_tags;
+        program.arrivals = self.arrivals;
+        Ok(program)
+    }
+}
+
 impl TraceFile {
-    /// Serializes to pretty JSON (diffable, greppable).
+    /// Serializes to JSON (diffable, greppable).
     pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("trace serialization cannot fail")
+        let (op, meta, program) = (self.op, self.meta, ProgramJson::from(&self.program));
+        serde_json::to_string(&TraceFileJson { op, meta, program })
+            .expect("trace serialization cannot fail")
     }
 
     /// Deserializes from JSON.
     pub fn from_json(s: &str) -> Result<Self, String> {
-        serde_json::from_str(s).map_err(|e| e.to_string())
+        let json: TraceFileJson = serde_json::from_str(s).map_err(|e| e.to_string())?;
+        Ok(TraceFile {
+            op: json.op,
+            meta: json.meta,
+            program: json.program.into_program()?,
+        })
     }
 
     /// Writes the compact binary encoding: the v1 layout for untagged
     /// solo traces (no per-block overhead), v2 with per-block
     /// (request, arrival) records for tagged mixes.
     pub fn write_binary<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        let tagged = !self.program.request_tags.is_empty() || !self.program.arrivals.is_empty();
+        let p = &self.program;
+        let tagged = !p.request_tags.is_empty() || !p.arrivals.is_empty();
         w.write_all(if tagged { MAGIC_V2 } else { MAGIC_V1 })?;
         let header = serde_json::to_vec(&(self.op, self.meta)).expect("header serializes");
         write_u64(w, header.len() as u64)?;
         w.write_all(&header)?;
-        write_u64(w, self.program.blocks.len() as u64)?;
-        for (tb, (block, &core)) in self
-            .program
-            .blocks
-            .iter()
-            .zip(&self.program.assignment)
-            .enumerate()
-        {
+        write_u64(w, p.num_blocks() as u64)?;
+        for (tb, (block, &core)) in p.blocks().zip(&p.assignment).enumerate() {
             write_u64(w, core as u64)?;
             if tagged {
-                write_u64(w, self.program.request_of(tb) as u64)?;
-                write_u64(w, self.program.arrival_of(tb))?;
+                write_u64(w, p.request_of(tb) as u64)?;
+                write_u64(w, p.arrival_of(tb))?;
             }
-            write_u64(w, block.instrs.len() as u64)?;
-            for i in &block.instrs {
-                match i {
-                    Instr::Compute { cycles } => {
-                        w.write_all(&[0])?;
-                        write_u64(w, *cycles as u64)?;
-                    }
-                    Instr::Load { addr, bytes } => {
-                        w.write_all(&[1])?;
-                        write_u64(w, *addr)?;
-                        write_u64(w, *bytes as u64)?;
-                    }
-                    Instr::Store { addr, bytes } => {
-                        w.write_all(&[2])?;
-                        write_u64(w, *addr)?;
-                        write_u64(w, *bytes as u64)?;
-                    }
-                    Instr::Barrier => {
-                        w.write_all(&[3])?;
-                    }
+            write_u64(w, block.len() as u64)?;
+            for i in block {
+                // A tag byte, then the instruction's fields as u64s.
+                let (tag, fields) = match *i {
+                    Instr::Compute { cycles } => (0, [Some(cycles as u64), None]),
+                    Instr::Load { addr, bytes } => (1, [Some(addr), Some(bytes as u64)]),
+                    Instr::Store { addr, bytes } => (2, [Some(addr), Some(bytes as u64)]),
+                    Instr::Barrier => (3, [None, None]),
+                };
+                w.write_all(&[tag])?;
+                for v in fields.into_iter().flatten() {
+                    write_u64(w, v)?;
                 }
             }
         }
@@ -97,63 +159,65 @@ impl TraceFile {
         let tagged = match &magic {
             m if m == MAGIC_V2 => true,
             m if m == MAGIC_V1 => false,
-            _ => return Err(io::Error::new(io::ErrorKind::InvalidData, "bad magic")),
+            _ => return Err(invalid("bad magic")),
         };
-        let header_len = read_u64(r)? as usize;
-        let mut header = vec![0u8; header_len];
-        r.read_exact(&mut header)?;
-        let (op, meta): (LogitOp, TraceMeta) = serde_json::from_slice(&header)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let num_blocks = read_u64(r)? as usize;
-        let mut blocks = Vec::with_capacity(num_blocks);
-        let mut assignment = Vec::with_capacity(num_blocks);
-        let mut request_tags = Vec::new();
-        let mut arrivals = Vec::new();
-        for _ in 0..num_blocks {
-            assignment.push(read_u64(r)? as usize);
-            if tagged {
-                let tag = read_u64(r)?;
-                let tag = u32::try_from(tag).map_err(|_| {
-                    io::Error::new(io::ErrorKind::InvalidData, "request tag exceeds u32")
-                })?;
-                request_tags.push(tag);
-                arrivals.push(read_u64(r)?);
-            }
-            let n = read_u64(r)? as usize;
-            let mut instrs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let mut tag = [0u8; 1];
-                r.read_exact(&mut tag)?;
-                let instr = match tag[0] {
-                    0 => Instr::Compute {
-                        cycles: read_u64(r)? as u32,
-                    },
-                    1 => Instr::Load {
-                        addr: read_u64(r)?,
-                        bytes: read_u64(r)? as u32,
-                    },
-                    2 => Instr::Store {
-                        addr: read_u64(r)?,
-                        bytes: read_u64(r)? as u32,
-                    },
-                    3 => Instr::Barrier,
-                    t => {
-                        return Err(io::Error::new(
-                            io::ErrorKind::InvalidData,
-                            format!("unknown instruction tag {t}"),
-                        ))
-                    }
-                };
-                instrs.push(instr);
-            }
-            blocks.push(ThreadBlock { instrs });
+        // Counts come from the file, so nothing is sized from them: a
+        // count larger than the input ends at the input's end, in an
+        // error.
+        let header_len = read_u64(r)?;
+        let mut header = Vec::new();
+        r.by_ref().take(header_len).read_to_end(&mut header)?;
+        if header.len() as u64 != header_len {
+            return Err(io::ErrorKind::UnexpectedEof.into());
         }
-        Ok(TraceFile {
-            op,
-            meta,
-            program: Program::with_requests(blocks, assignment, request_tags, arrivals),
-        })
+        let (op, meta): (LogitOp, TraceMeta) =
+            serde_json::from_slice(&header).map_err(|e| invalid(&e.to_string()))?;
+        let num_blocks = read_u64(r)?;
+        let mut program = Program::default();
+        let mut instrs = 0u64;
+        for _ in 0..num_blocks {
+            let core = read_u64(r)? as usize;
+            if tagged {
+                program.request_tags.push(read_u32(r)?);
+                program.arrivals.push(read_u64(r)?);
+            }
+            let len = read_u64(r)?;
+            instrs = instrs.saturating_add(len);
+            if instrs > u32::MAX as u64 {
+                return Err(invalid("trace exceeds u32::MAX instructions"));
+            }
+            let mut block: io::Result<()> = Ok(());
+            program.push_block(core, |arena| {
+                block = (0..len).try_for_each(|_| read_instr(r).map(|i| arena.push(i)))
+            });
+            block?;
+        }
+        Ok(TraceFile { op, meta, program })
     }
+}
+
+fn invalid(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+fn read_instr<R: Read>(r: &mut R) -> io::Result<Instr> {
+    let mut tag = [0u8; 1];
+    r.read_exact(&mut tag)?;
+    Ok(match tag[0] {
+        0 => Instr::Compute {
+            cycles: read_u32(r)?,
+        },
+        1 => Instr::Load {
+            addr: read_u64(r)?,
+            bytes: read_u32(r)?,
+        },
+        2 => Instr::Store {
+            addr: read_u64(r)?,
+            bytes: read_u32(r)?,
+        },
+        3 => Instr::Barrier,
+        t => return Err(invalid(&format!("unknown instruction tag {t}"))),
+    })
 }
 
 fn write_u64<W: Write>(w: &mut W, v: u64) -> io::Result<()> {
@@ -164,6 +228,26 @@ fn read_u64<R: Read>(r: &mut R) -> io::Result<u64> {
     let mut b = [0u8; 8];
     r.read_exact(&mut b)?;
     Ok(u64::from_le_bytes(b))
+}
+
+/// Reads a u64 field whose value must fit a u32 (request tags, compute
+/// cycles, access bytes).
+fn read_u32<R: Read>(r: &mut R) -> io::Result<u32> {
+    u32::try_from(read_u64(r)?).map_err(|_| invalid("field exceeds u32"))
+}
+
+/// FNV-1a of `bytes`.
+#[cfg(test)]
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
+/// FNV-1a of `program`'s JSON encoding.
+#[cfg(test)]
+pub(crate) fn program_fnv1a(program: &Program) -> u64 {
+    fnv1a(&serde_json::to_vec(&ProgramJson::from(program)).expect("program serializes"))
 }
 
 #[cfg(test)]
@@ -191,7 +275,7 @@ mod tests {
         let t = sample();
         let s = t.to_json();
         let u = TraceFile::from_json(&s).unwrap();
-        assert_eq!(t.program.blocks, u.program.blocks);
+        assert_eq!(t.program, u.program);
         assert_eq!(t.meta, u.meta);
     }
 
@@ -201,8 +285,7 @@ mod tests {
         let mut buf = Vec::new();
         t.write_binary(&mut buf).unwrap();
         let u = TraceFile::read_binary(&mut buf.as_slice()).unwrap();
-        assert_eq!(t.program.blocks, u.program.blocks);
-        assert_eq!(t.program.assignment, u.program.assignment);
+        assert_eq!(t.program, u.program);
         assert_eq!(t.op, u.op);
     }
 
@@ -244,9 +327,7 @@ mod tests {
     fn tagged_json_round_trip() {
         let t = tagged_sample();
         let u = TraceFile::from_json(&t.to_json()).unwrap();
-        assert_eq!(u.program.blocks, t.program.blocks);
-        assert_eq!(u.program.request_tags, t.program.request_tags);
-        assert_eq!(u.program.arrivals, t.program.arrivals);
+        assert_eq!(u.program, t.program);
         assert_eq!(u.program.num_requests(), 2);
     }
 
@@ -257,10 +338,7 @@ mod tests {
         t.write_binary(&mut buf).unwrap();
         assert_eq!(&buf[..8], b"LLAMCAT2");
         let u = TraceFile::read_binary(&mut buf.as_slice()).unwrap();
-        assert_eq!(u.program.blocks, t.program.blocks);
-        assert_eq!(u.program.assignment, t.program.assignment);
-        assert_eq!(u.program.request_tags, t.program.request_tags);
-        assert_eq!(u.program.arrivals, t.program.arrivals);
+        assert_eq!(u.program, t.program);
         assert_eq!(u.program.request_arrivals(), vec![0, 700]);
     }
 
@@ -273,17 +351,17 @@ mod tests {
         t.write_binary(&mut v1).unwrap();
         assert_eq!(&v1[..8], b"LLAMCAT1");
         let u = TraceFile::read_binary(&mut v1.as_slice()).unwrap();
-        assert_eq!(u.program.blocks, t.program.blocks);
+        assert_eq!(u.program, t.program);
         assert!(u.program.request_tags.is_empty());
         assert_eq!(u.program.num_requests(), 1, "v1 traces are solo request 0");
         // The tagged encoding pays exactly 16 extra bytes per block.
         let mut tagged = t.clone();
-        tagged.program.request_tags = vec![0; tagged.program.blocks.len()];
-        tagged.program.arrivals = vec![0; tagged.program.blocks.len()];
+        tagged.program.request_tags = vec![0; tagged.program.num_blocks()];
+        tagged.program.arrivals = vec![0; tagged.program.num_blocks()];
         let mut v2 = Vec::new();
         tagged.write_binary(&mut v2).unwrap();
         assert_eq!(&v2[..8], b"LLAMCAT2");
-        assert_eq!(v2.len(), v1.len() + 16 * t.program.blocks.len());
+        assert_eq!(v2.len(), v1.len() + 16 * t.program.num_blocks());
     }
 
     #[test]
@@ -300,5 +378,188 @@ mod tests {
         t.write_binary(&mut buf).unwrap();
         buf.truncate(buf.len() / 2);
         assert!(TraceFile::read_binary(&mut buf.as_slice()).is_err());
+    }
+
+    #[test]
+    fn binary_encodings_are_pinned() {
+        // FNV-1a of `write_binary`'s bytes, v1 and v2.
+        let pin = |t: &TraceFile| {
+            let mut buf = Vec::new();
+            t.write_binary(&mut buf).unwrap();
+            (fnv1a(&buf), buf.len())
+        };
+        assert_eq!(pin(&sample()), (0x39053f50731f0df6, 9992));
+        assert_eq!(pin(&tagged_sample()), (0x8d89c359c60cc648, 20075));
+    }
+
+    #[test]
+    fn serde_round_trip() {
+        let p = Program::round_robin(
+            [[
+                Instr::Load {
+                    addr: 64,
+                    bytes: 64,
+                },
+                Instr::Barrier,
+            ]],
+            1,
+        );
+        let q = ProgramJson::from(&p);
+        let s = serde_json::to_string(&q).unwrap();
+        let q: ProgramJson = serde_json::from_str(&s).unwrap();
+        assert_eq!(q.into_program().unwrap(), p);
+    }
+
+    #[test]
+    fn tagged_serde_round_trip() {
+        let p = Program::with_requests(
+            vec![Vec::<Instr>::new(); 2],
+            vec![0, 1],
+            vec![0, 1],
+            vec![0, 64],
+        );
+        let s = serde_json::to_string(&ProgramJson::from(&p)).unwrap();
+        let q: ProgramJson = serde_json::from_str(&s).unwrap();
+        let q = q.into_program().unwrap();
+        assert_eq!(q.request_tags, p.request_tags);
+        assert_eq!(q.arrivals, p.arrivals);
+    }
+
+    #[test]
+    fn legacy_json_without_tags_parses() {
+        let legacy = r#"{"blocks": [{"instrs": []}], "assignment": [0]}"#;
+        let p: ProgramJson = serde_json::from_str(legacy).unwrap();
+        let p = p.into_program().unwrap();
+        assert_eq!(p.num_requests(), 1);
+        assert!(p.request_tags.is_empty());
+        assert!(p.arrivals.is_empty());
+    }
+
+    /// `json` with the first `from` replaced by `to`.
+    fn edit(json: &str, from: &str, to: &str) -> String {
+        assert!(json.contains(from), "{from} not in the trace");
+        json.replacen(from, to, 1)
+    }
+
+    #[test]
+    fn json_with_a_per_block_entry_too_few_is_rejected() {
+        let solo = sample().to_json();
+        let short = edit(&solo, r#""assignment":[0,"#, r#""assignment":["#);
+        assert!(TraceFile::from_json(&short).is_err());
+        let tagged = tagged_sample().to_json();
+        for field in ["assignment", "request_tags", "arrivals"] {
+            let key = format!(r#""{field}":["#);
+            let short = edit(&tagged, &format!("{key}0,"), &key);
+            assert!(TraceFile::from_json(&short).is_err(), "{field}");
+        }
+    }
+
+    #[test]
+    fn json_with_a_per_block_entry_too_many_is_rejected() {
+        let solo = sample().to_json();
+        let long = edit(&solo, r#""assignment":["#, r#""assignment":[0,"#);
+        assert!(TraceFile::from_json(&long).is_err());
+        let tagged = tagged_sample().to_json();
+        for field in ["assignment", "request_tags", "arrivals"] {
+            let key = format!(r#""{field}":["#);
+            let long = edit(&tagged, &key, &format!("{key}0,"));
+            assert!(TraceFile::from_json(&long).is_err(), "{field}");
+        }
+    }
+
+    /// Offset of the block count in a binary trace: magic, header
+    /// length, header.
+    fn blocks_at(buf: &[u8]) -> usize {
+        16 + u64::from_le_bytes(buf[8..16].try_into().unwrap()) as usize
+    }
+
+    fn set_u64(buf: &mut [u8], at: usize, v: u64) {
+        buf[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    fn read(buf: &[u8]) -> io::Result<TraceFile> {
+        TraceFile::read_binary(&mut &buf[..])
+    }
+
+    #[test]
+    fn binary_counts_beyond_the_input_are_rejected() {
+        let mut v1 = Vec::new();
+        sample().write_binary(&mut v1).unwrap();
+        let at = blocks_at(&v1);
+        // The header length, the block count and the first block's
+        // instruction count (after its home core).
+        for count_at in [8, at, at + 16] {
+            for count in [u64::MAX / 2, u64::MAX] {
+                let mut buf = v1.clone();
+                set_u64(&mut buf, count_at, count);
+                assert!(read(&buf).is_err(), "count {count:#x} at {count_at}");
+            }
+        }
+    }
+
+    #[test]
+    fn binary_fields_wider_than_u32_are_rejected() {
+        // A v1 trace of one block holding one instruction: `tag`, then
+        // `fields`.
+        let one_instr = |tag: u8, fields: &[u64]| {
+            let mut buf = Vec::new();
+            sample().write_binary(&mut buf).unwrap();
+            buf.truncate(blocks_at(&buf));
+            for v in [1, 0, 1].iter().chain(fields) {
+                buf.extend_from_slice(&v.to_le_bytes());
+            }
+            let at = buf.len() - 8 * fields.len();
+            buf.insert(at, tag);
+            buf
+        };
+        assert!(read(&one_instr(0, &[u32::MAX as u64])).is_ok());
+        assert!(read(&one_instr(1, &[64, u32::MAX as u64])).is_ok());
+        assert!(read(&one_instr(0, &[1 << 32])).is_err(), "compute cycles");
+        assert!(read(&one_instr(1, &[64, 1 << 32])).is_err(), "load bytes");
+        assert!(read(&one_instr(2, &[64, 1 << 32])).is_err(), "store bytes");
+    }
+
+    proptest::proptest! {
+        // Mutated v1, v2 and JSON encodings decode to `Ok` or `Err`,
+        // never a panic: truncations, byte flips and overwritten counts.
+        #[test]
+        fn mutated_encodings_never_panic(
+            encoding in 0u8..3,
+            cut in proptest::prelude::any::<u64>(),
+            flips in proptest::collection::vec(
+                (proptest::prelude::any::<u64>(), 1u8..255), 0..4),
+            count in (0u8..4, 0usize..7, proptest::prelude::any::<u64>()),
+        ) {
+            let t = if encoding == 0 { sample() } else { tagged_sample() };
+            let mut buf = Vec::new();
+            match encoding {
+                2 => buf = t.to_json().into_bytes(),
+                _ => t.write_binary(&mut buf).unwrap(),
+            }
+            let (target, value, random) = count;
+            if encoding < 2 {
+                // Overwrite the header length, the block count, the
+                // first block's instruction count (v2 records carry 16
+                // more bytes before it), or nothing.
+                let at = blocks_at(&buf);
+                let count_at = [8, at, at + 16 + 16 * encoding as usize, buf.len()][target as usize];
+                let value = [0, 1, 8, u32::MAX as u64, u64::MAX / 2, u64::MAX, random][value];
+                if count_at + 8 <= buf.len() {
+                    set_u64(&mut buf, count_at, value);
+                }
+            }
+            for (at, mask) in flips {
+                let at = (at % buf.len() as u64) as usize;
+                buf[at] ^= mask;
+            }
+            if cut & 1 == 1 {
+                buf.truncate(((cut >> 1) % buf.len() as u64) as usize);
+            }
+            if encoding < 2 {
+                let _ = read(&buf);
+            } else {
+                let _ = TraceFile::from_json(&String::from_utf8_lossy(&buf));
+            }
+        }
     }
 }

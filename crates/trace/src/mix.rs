@@ -41,13 +41,13 @@
 
 use std::sync::Arc;
 
-use llamcat_sim::prog::{Instr, Program, ThreadBlock};
+use llamcat_sim::prog::{Instr, Program, RequestId};
 use llamcat_sim::types::{Addr, Cycle};
 use serde::{Deserialize, Serialize};
 
 use crate::mapping::Layout;
-use crate::tracegen::{TraceGenConfig, TraceMeta};
-use crate::workloads::Workload;
+use crate::tracegen::{Lowering, TraceGenConfig, TraceMeta};
+use crate::workloads::{plan, Workload};
 
 /// Virtual-address stride between tenants. Larger than every tensor
 /// base the workloads use (the attention-output partials top out just
@@ -230,73 +230,25 @@ impl WorkloadMix {
         cfg: &TraceGenConfig,
     ) -> Result<(Program, MixMeta), String> {
         self.validate()?;
-        let per_core_counts: Vec<(usize, usize)> = match self.assignment {
+        let shares: Vec<(usize, usize)> = match self.assignment {
             MixAssignment::Partitioned => self.partition(cfg.num_cores)?,
             MixAssignment::Interleaved => vec![(0, cfg.num_cores); self.requests.len()],
         };
-
-        // Lower each request on its core share, in its own address
-        // space, then move it onto the share's cores.
-        let mut programs = Vec::with_capacity(self.requests.len());
-        let mut metas = Vec::with_capacity(self.requests.len());
-        for (r, (req, &(start, count))) in self.requests.iter().zip(&per_core_counts).enumerate() {
-            let (mut program, meta) =
-                lower_tenant(req.workload.as_ref(), r, layout, l_tile, cfg, count)
-                    .map_err(|e| format!("mix request {r}: {e}"))?;
-            for core in &mut program.assignment {
-                debug_assert!(*core < count);
+        let mut tenants = Vec::with_capacity(self.requests.len());
+        for (r, (req, &(start, count))) in self.requests.iter().zip(&shares).enumerate() {
+            let mut tenant = plan(req.workload.as_ref(), layout, l_tile, cfg, count)
+                .map_err(|e| format!("mix request {r}: {e}"))?;
+            for [core, ..] in &mut tenant.blocks {
                 *core += start;
             }
-            programs.push(program);
-            metas.push(meta);
+            tenants.push(tenant);
         }
-
-        // Compose: request-major for partitioned (disjoint cores, order
-        // across requests is immaterial per core), round-robin by
-        // request for interleaved (per-core queues alternate tenants).
-        let total_blocks: usize = metas.iter().map(|m| m.num_blocks).sum();
-        let mut blocks = Vec::with_capacity(total_blocks);
-        let mut assignment = Vec::with_capacity(total_blocks);
-        let mut tags = Vec::with_capacity(total_blocks);
-        let mut arrivals = Vec::with_capacity(total_blocks);
-        let mut push = |r: usize, block: ThreadBlock, core: usize| {
-            blocks.push(block);
-            assignment.push(core);
-            tags.push(r as u32);
-            arrivals.push(self.requests[r].arrival);
-        };
-        match self.assignment {
-            MixAssignment::Partitioned => {
-                for (r, p) in programs.into_iter().enumerate() {
-                    for (block, core) in p.blocks.into_iter().zip(p.assignment) {
-                        push(r, block, core);
-                    }
-                }
-            }
-            MixAssignment::Interleaved => {
-                let mut iters: Vec<_> = programs
-                    .into_iter()
-                    .map(|p| p.blocks.into_iter().zip(p.assignment))
-                    .collect();
-                loop {
-                    let mut any = false;
-                    for (r, it) in iters.iter_mut().enumerate() {
-                        if let Some((block, core)) = it.next() {
-                            push(r, block, core);
-                            any = true;
-                        }
-                    }
-                    if !any {
-                        break;
-                    }
-                }
-            }
-        }
-
-        Ok((
-            Program::with_requests(blocks, assignment, tags, arrivals),
-            MixMeta::fold(metas),
-        ))
+        let interleaved = self.assignment == MixAssignment::Interleaved;
+        let (mut program, metas) = compose(&tenants, interleaved);
+        program.arrivals = (program.request_tags.iter())
+            .map(|&r| self.requests[r as usize].arrival)
+            .collect();
+        Ok((program, MixMeta::fold(metas)))
     }
 }
 
@@ -325,62 +277,59 @@ pub fn generate_serve_set(
     if cores_per_request == 0 {
         return Err("serve set needs at least one core per request".into());
     }
-    let mut blocks = Vec::new();
-    let mut assignment = Vec::new();
-    let mut tags = Vec::new();
-    let mut metas = Vec::with_capacity(requests.len());
+    let mut tenants = Vec::with_capacity(requests.len());
     for (r, req) in requests.iter().enumerate() {
         req.validate()
             .map_err(|e| format!("serve request {r} ({}): {e}", req.label()))?;
-        let (program, meta) = lower_tenant(req.as_ref(), r, layout, l_tile, cfg, cores_per_request)
+        let tenant = plan(req.as_ref(), layout, l_tile, cfg, cores_per_request)
             .map_err(|e| format!("serve request {r}: {e}"))?;
-        if program.blocks.is_empty() {
+        if tenant.blocks.is_empty() {
             return Err(format!("serve request {r}: trace has no thread blocks"));
         }
-        for (block, core) in program.blocks.into_iter().zip(program.assignment) {
-            debug_assert!(core < cores_per_request);
-            blocks.push(block);
-            assignment.push(core);
-            tags.push(r as u32);
-        }
-        metas.push(meta);
+        tenants.push(tenant);
     }
-    Ok((
-        Program::with_requests(blocks, assignment, tags, Vec::new()),
-        MixMeta::fold(metas),
-    ))
+    let (program, metas) = compose(&tenants, false);
+    Ok((program, MixMeta::fold(metas)))
 }
 
-/// Lowers tenant `r` ([`Workload::lower`]) on `cores` cores, home cores
-/// relative (`0..cores`), and moves it into the tenant's address space.
-fn lower_tenant(
-    workload: &dyn Workload,
-    r: usize,
-    layout: Layout,
-    l_tile: usize,
-    cfg: &TraceGenConfig,
-    cores: usize,
-) -> Result<(Program, TraceMeta), String> {
-    let cfg = TraceGenConfig {
-        num_cores: cores,
-        ..*cfg
+/// Builds the tenants' blocks into one request-tagged program, each
+/// block once and straight into its arena, which is sized up front:
+/// request-major, or round-robin by request when `interleaved` (per-core
+/// queues then alternate tenants). Tenant `r` is tagged `r` and moved
+/// into its own address space. Returns each tenant's summary too.
+fn compose(tenants: &[Lowering<dyn Workload>], interleaved: bool) -> (Program, Vec<TraceMeta>) {
+    let blocks = tenants.iter().map(|t| t.blocks.len()).sum();
+    let instrs = tenants.iter().map(Lowering::instrs_estimate).sum();
+    let mut program = Program::with_capacity(blocks, instrs);
+    program.request_tags.reserve_exact(blocks);
+    let mut metas = vec![TraceMeta::default(); tenants.len()];
+    let rounds = tenants.iter().map(|t| t.blocks.len()).max().unwrap_or(0);
+    let order: Box<dyn Iterator<Item = (usize, usize)>> = match interleaved {
+        true => Box::new((0..rounds).flat_map(|i| (0..tenants.len()).map(move |r| (r, i)))),
+        false => Box::new((0..tenants.len()).flat_map(|r| (0..rounds).map(move |i| (r, i)))),
     };
-    let (mut program, meta) = workload.lower(layout, l_tile, &cfg)?;
-    let offset = r as Addr * REQUEST_VA_STRIDE;
-    for block in &mut program.blocks {
-        relocate(block, offset);
+    for (r, i) in order.filter(|&(r, i)| i < tenants[r].blocks.len()) {
+        let tenant = &tenants[r];
+        program.push_block(tenant.blocks[i][0], |arena| {
+            let first = arena.len();
+            tenant.build(i, arena);
+            relocate(&mut arena[first..], r as Addr * REQUEST_VA_STRIDE);
+            metas[r].add(&arena[first..]);
+        });
+        program.request_tags.push(r as RequestId);
     }
-    Ok((program, meta))
+    program.shrink_to_fit();
+    (program, metas)
 }
 
-/// Shifts a block's memory accesses into a tenant's address space.
+/// Shifts memory accesses into a tenant's address space.
 /// Shared-prefix KV lines (at/above
 /// [`SHARED_KV_BASE`](llamcat_sim::kv::SHARED_KV_BASE)) are left in
 /// place: one copy across all tenants is the whole point of a shared
 /// system prompt.
-fn relocate(block: &mut ThreadBlock, offset: Addr) {
+fn relocate(instrs: &mut [Instr], offset: Addr) {
     use llamcat_sim::kv::SHARED_KV_BASE;
-    for instr in &mut block.instrs {
+    for instr in instrs {
         match instr {
             Instr::Load { addr, .. } | Instr::Store { addr, .. } => {
                 if *addr >= SHARED_KV_BASE {
@@ -436,7 +385,10 @@ mod tests {
         let (p_mix, meta) = mix.generate(Layout::PairStream, 32, &cfg()).unwrap();
         let mapping = w.mapping(Layout::PairStream, 32, cfg().num_cores);
         let (p_solo, solo_meta) = w.generate(&mapping, &cfg());
-        assert_eq!(p_mix.blocks, p_solo.blocks, "blocks must be bit-identical");
+        assert!(
+            p_mix.blocks().eq(p_solo.blocks()),
+            "blocks must be bit-identical"
+        );
         assert_eq!(p_mix.assignment, p_solo.assignment);
         assert_eq!(p_mix.num_requests(), 1);
         assert_eq!(meta.per_request, vec![solo_meta]);
@@ -455,7 +407,7 @@ mod tests {
         for tb in 0..p.num_blocks() {
             let r = p.request_of(tb) as usize;
             cores[r].insert(p.assignment[tb]);
-            for i in &p.blocks[tb].instrs {
+            for i in p.block(tb) {
                 if let Instr::Load { addr, .. } | Instr::Store { addr, .. } = i {
                     lines[r].insert(addr / 64);
                     assert_eq!(
@@ -574,7 +526,7 @@ mod tests {
         assert!(tags.windows(2).all(|w| w[0] <= w[1]));
         // Disjoint tenant address spaces, as for closed mixes.
         for tb in 0..p.num_blocks() {
-            for i in &p.blocks[tb].instrs {
+            for i in p.block(tb) {
                 if let Instr::Load { addr, .. } | Instr::Store { addr, .. } = i {
                     assert_eq!((addr / REQUEST_VA_STRIDE) as u32, p.request_of(tb));
                 }
@@ -612,7 +564,7 @@ mod tests {
         let mut shared_lines: Vec<HashSet<u64>> = vec![HashSet::new(), HashSet::new()];
         for tb in 0..p.num_blocks() {
             let r = p.request_of(tb) as usize;
-            for i in &p.blocks[tb].instrs {
+            for i in p.block(tb) {
                 if let Instr::Load { addr, .. } | Instr::Store { addr, .. } = i {
                     if *addr >= SHARED_KV_BASE {
                         shared_lines[r].insert(addr / 64);
@@ -635,7 +587,7 @@ mod tests {
 
     #[test]
     fn composed_traces_are_pinned() {
-        use crate::tracegen::program_fnv1a;
+        use crate::format::program_fnv1a;
         use crate::workloads::SharedPrefixWorkload;
         let shared: Arc<dyn Workload> = Arc::new(SharedPrefixWorkload::new(
             LogitOp {
@@ -684,7 +636,8 @@ mod tests {
                 .map(|m| m.total_load_bytes)
                 .sum::<u64>()
         );
-        assert_eq!(meta.total_load_bytes, p.total_load_bytes());
-        assert_eq!(meta.total_store_bytes, p.total_store_bytes());
+        let whole = TraceMeta::of(p.blocks());
+        assert_eq!(meta.total_load_bytes, whole.total_load_bytes);
+        assert_eq!(meta.total_store_bytes, whole.total_store_bytes);
     }
 }

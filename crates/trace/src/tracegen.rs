@@ -5,20 +5,19 @@
 //! to either the spatial or temporal domain, it can be translated to
 //! memory traces simply by iterating through it" (Section 5). The
 //! mapping decides which thread blocks exist, in what order, on which
-//! core (`generate_with`); one thread block is one L1-level tile, and
+//! core (`Lowering`); one thread block is one L1-level tile, and
 //! every workload lays it out with the same template (`tile_block`):
 //! load its inputs, stream the rows of its L tile with amortized
 //! compute, synchronize, store its outputs.
 
-use std::ops::Range;
-
 use serde::{Deserialize, Serialize};
 
-use llamcat_sim::prog::{Instr, Program, ThreadBlock};
+use llamcat_sim::prog::{Instr, Program};
 use llamcat_sim::types::Addr;
 
 use crate::mapping::{Dim, Level, LoopKind, Mapping};
 use crate::workload::LogitOp;
+use crate::workloads::Workload;
 
 /// Trace-generation parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -46,7 +45,7 @@ impl Default for TraceGenConfig {
 }
 
 /// Summary of a generated trace (used by tests and reports).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceMeta {
     pub num_blocks: usize,
     pub total_load_bytes: u64,
@@ -54,134 +53,148 @@ pub struct TraceMeta {
     pub max_block_instrs: usize,
 }
 
-/// Generates a program for any workload sharing the {H, G, L, D}
-/// iteration space: the mapping decides thread-block enumeration order
-/// and core assignment, `build` supplies each block's instruction
-/// stream (`(h, g, l_tile_index, l_tile_extent) -> ThreadBlock`).
-///
-/// Called only by [`Workload::generate`](crate::workloads::Workload::generate).
-///
-/// Panics if the mapping is invalid for the iteration space (call
-/// [`Mapping::validate`] first for a graceful error).
-pub(crate) fn generate_with<F>(
-    op: &LogitOp,
-    mapping: &Mapping,
-    cfg: &TraceGenConfig,
-    build: F,
-) -> (Program, TraceMeta)
-where
-    F: Fn(usize, usize, usize, usize) -> ThreadBlock,
-{
-    mapping
-        .validate(op)
-        .expect("mapping must be valid for the operator");
-    let l_tile = mapping.l1_l_tile();
-    let n_ltiles = op.seq_len / l_tile;
-
-    let spatial_h = mapping
-        .level(Level::L2)
-        .iter()
-        .any(|l| l.dim == Dim::H && l.kind == LoopKind::Spatial);
-    let (blocks, assignment) = if spatial_h {
-        generate_pair_stream(op, cfg, l_tile, n_ltiles, &build)
-    } else if mapping.is_spatial() {
-        generate_spatial(op, mapping, cfg, l_tile, n_ltiles, &build)
-    } else {
-        // Round-robin: thread-block enumeration order from the L2-level
-        // temporal loops, consecutive blocks on consecutive cores.
-        let l2 = mapping.level(Level::L2);
-        let order: Vec<Dim> = l2
-            .iter()
-            .filter(|l| l.kind == LoopKind::Temporal)
-            .map(|l| l.dim)
-            .collect();
-        let mut blocks = Vec::with_capacity(op.heads * op.group_size * n_ltiles);
-        let mut emit = |h: usize, g: usize, lt: usize| {
-            blocks.push(build(h, g, lt, l_tile));
-        };
-        iterate(&order, op, n_ltiles, &mut emit);
-        let assignment = (0..blocks.len()).map(|i| i % cfg.num_cores).collect();
-        (blocks, assignment)
-    };
-
-    let meta = TraceMeta {
-        num_blocks: blocks.len(),
-        total_load_bytes: blocks.iter().map(|b| b.bytes_loaded()).sum(),
-        total_store_bytes: blocks.iter().map(|b| b.bytes_stored()).sum(),
-        max_block_instrs: blocks.iter().map(|b| b.instrs.len()).max().unwrap_or(0),
-    };
-    (Program::new(blocks, assignment), meta)
-}
-
-/// Pair-stream dataflow: (h, g) output pairs round-robin over cores,
-/// each pair an independent full-K[h] temporal stream (see
-/// [`Layout::PairStream`](crate::mapping::Layout::PairStream)). Blocks are emitted
-/// pair-major so each core's queue holds its pairs' tiles contiguously —
-/// the window-strided scheduler then runs one pair per window.
-fn generate_pair_stream<F>(
-    op: &LogitOp,
-    cfg: &TraceGenConfig,
-    l_tile: usize,
-    n_ltiles: usize,
-    build: &F,
-) -> (Vec<ThreadBlock>, Vec<usize>)
-where
-    F: Fn(usize, usize, usize, usize) -> ThreadBlock,
-{
-    let pairs = op.heads * op.group_size;
-    let mut blocks = Vec::with_capacity(pairs * n_ltiles);
-    let mut assignment = Vec::with_capacity(pairs * n_ltiles);
-    for p in 0..pairs {
-        let (h, g) = (p / op.group_size, p % op.group_size);
-        let core = p % cfg.num_cores;
-        for lt in 0..n_ltiles {
-            blocks.push(build(h, g, lt, l_tile));
-            assignment.push(core);
-        }
+impl TraceMeta {
+    /// Summary of `blocks`.
+    pub(crate) fn of<'a>(blocks: impl Iterator<Item = &'a [Instr]>) -> Self {
+        let mut meta = TraceMeta::default();
+        blocks.for_each(|block| meta.add(block));
+        meta
     }
-    (blocks, assignment)
-}
 
-/// Spatial dataflow: query heads (and L segments) pinned to cores; all
-/// cores stream the shared K[h] concurrently. Blocks are emitted in
-/// `(h, l-tile, sharers)` order so that each core's subsequence — which
-/// is what its scheduler queue preserves — is its own `(h, l-tile)`
-/// temporal stream.
-fn generate_spatial<F>(
-    op: &LogitOp,
-    mapping: &Mapping,
-    cfg: &TraceGenConfig,
-    l_tile: usize,
-    n_ltiles: usize,
-    build: &F,
-) -> (Vec<ThreadBlock>, Vec<usize>)
-where
-    F: Fn(usize, usize, usize, usize) -> ThreadBlock,
-{
-    let gs = mapping.spatial_g();
-    let gt = op.group_size / gs;
-    let segments = mapping.spatial_l_segments();
-    let tiles_per_seg = n_ltiles / segments;
-    let mut blocks = Vec::with_capacity(op.heads * op.group_size * n_ltiles);
-    let mut assignment = Vec::with_capacity(blocks.capacity());
-    for h in 0..op.heads {
-        for gi in 0..gt {
-            for t in 0..tiles_per_seg {
-                // All sharers of tile t (across g-spatial and segments)
-                // are emitted adjacently; their home cores differ.
-                for gsi in 0..gs {
-                    for seg in 0..segments {
-                        let g = gsi * gt + gi;
-                        let lt = seg * tiles_per_seg + t;
-                        let core = (gsi * segments + seg) % cfg.num_cores;
-                        blocks.push(build(h, g, lt, l_tile));
-                        assignment.push(core);
-                    }
-                }
+    /// Adds one block to the summary.
+    pub(crate) fn add(&mut self, block: &[Instr]) {
+        self.num_blocks += 1;
+        self.max_block_instrs = self.max_block_instrs.max(block.len());
+        for i in block {
+            match *i {
+                Instr::Load { bytes, .. } => self.total_load_bytes += bytes as u64,
+                Instr::Store { bytes, .. } => self.total_store_bytes += bytes as u64,
+                Instr::Compute { .. } | Instr::Barrier => {}
             }
         }
     }
-    (blocks, assignment)
+}
+
+/// A workload's thread blocks under one mapping, planned but not yet
+/// built: the mapping decides which blocks exist, in what order and on
+/// which core, and [`Lowering::build`] writes any one of them onto the
+/// end of a program's instruction arena. A composer can so build the
+/// blocks of several lowerings in any order, each exactly once, straight
+/// into one program.
+pub(crate) struct Lowering<'a, W: ?Sized> {
+    workload: &'a W,
+    cfg: TraceGenConfig,
+    l_tile: usize,
+    /// `[home core, h, g, l-tile index]` of every block, in trace order.
+    pub(crate) blocks: Vec<[usize; 4]>,
+}
+
+impl<'a, W: Workload + ?Sized> Lowering<'a, W> {
+    /// Walks `mapping` over `workload`'s iteration space.
+    ///
+    /// Panics if the mapping is invalid for it (call
+    /// [`Mapping::validate`] first for a graceful error).
+    pub(crate) fn new(workload: &'a W, mapping: &Mapping, cfg: &TraceGenConfig) -> Self {
+        let op = &workload.shape();
+        mapping
+            .validate(op)
+            .expect("mapping must be valid for the operator");
+        let l_tile = mapping.l1_l_tile();
+        let n_ltiles = op.seq_len / l_tile;
+        let mut blocks = Vec::with_capacity(op.heads * op.group_size * n_ltiles);
+        let mut emit = |core, h, g, lt| blocks.push([core, h, g, lt]);
+
+        let spatial_h = mapping
+            .level(Level::L2)
+            .iter()
+            .any(|l| l.dim == Dim::H && l.kind == LoopKind::Spatial);
+        if spatial_h {
+            // Pair-stream dataflow: (h, g) output pairs round-robin over
+            // cores, each pair an independent full-K[h] temporal stream
+            // (see [`Layout::PairStream`](crate::mapping::Layout::PairStream)).
+            // Blocks are emitted pair-major so each core's queue holds its
+            // pairs' tiles contiguously — the window-strided scheduler
+            // then runs one pair per window.
+            for p in 0..op.heads * op.group_size {
+                for lt in 0..n_ltiles {
+                    emit(p % cfg.num_cores, p / op.group_size, p % op.group_size, lt);
+                }
+            }
+        } else if mapping.is_spatial() {
+            // Spatial dataflow: query heads (and L segments) pinned to
+            // cores; all cores stream the shared K[h] concurrently.
+            // Blocks are emitted in `(h, l-tile, sharers)` order so that
+            // each core's subsequence — which is what its scheduler queue
+            // preserves — is its own `(h, l-tile)` temporal stream.
+            let gs = mapping.spatial_g();
+            let gt = op.group_size / gs;
+            let segments = mapping.spatial_l_segments();
+            let tiles_per_seg = n_ltiles / segments;
+            for h in 0..op.heads {
+                for gi in 0..gt {
+                    for t in 0..tiles_per_seg {
+                        // All sharers of tile t (across g-spatial and
+                        // segments) are emitted adjacently; their home
+                        // cores differ.
+                        for gsi in 0..gs {
+                            for seg in 0..segments {
+                                let core = (gsi * segments + seg) % cfg.num_cores;
+                                emit(core, h, gsi * gt + gi, seg * tiles_per_seg + t);
+                            }
+                        }
+                    }
+                }
+            }
+        } else {
+            // Round-robin: thread-block enumeration order from the
+            // L2-level temporal loops, consecutive blocks on consecutive
+            // cores.
+            let order: Vec<Dim> = mapping
+                .level(Level::L2)
+                .iter()
+                .filter(|l| l.kind == LoopKind::Temporal)
+                .map(|l| l.dim)
+                .collect();
+            let mut i = 0;
+            iterate(&order, op, n_ltiles, &mut |h, g, lt| {
+                emit(i % cfg.num_cores, h, g, lt);
+                i += 1;
+            });
+        }
+        Lowering {
+            workload,
+            cfg: *cfg,
+            l_tile,
+            blocks,
+        }
+    }
+
+    /// Writes block `i` onto the end of `instrs`.
+    pub(crate) fn build(&self, i: usize, instrs: &mut Vec<Instr>) {
+        let [_, h, g, lt] = self.blocks[i];
+        (self.workload).build_block(&self.cfg, h, g, lt, self.l_tile, instrs);
+    }
+
+    /// Instructions in all blocks if each is as long as the first: exact
+    /// for every workload here, and what an arena is sized by.
+    pub(crate) fn instrs_estimate(&self) -> usize {
+        let mut first = Vec::new();
+        if !self.blocks.is_empty() {
+            self.build(0, &mut first);
+        }
+        first.len() * self.blocks.len()
+    }
+
+    /// The blocks built into a program of their own, with their summary.
+    pub(crate) fn into_program(self) -> (Program, TraceMeta) {
+        let mut program = Program::with_capacity(self.blocks.len(), self.instrs_estimate());
+        for (i, &[core, ..]) in self.blocks.iter().enumerate() {
+            program.push_block(core, |instrs| self.build(i, instrs));
+        }
+        program.shrink_to_fit();
+        let meta = TraceMeta::of(program.blocks());
+        (program, meta)
+    }
 }
 
 /// Walks the (H, G, L-tile) iteration space in the order given by the
@@ -220,52 +233,38 @@ fn iterate(
     }
 }
 
-/// Builds one thread block from the template every workload shares:
+/// Writes one thread block onto the end of `instrs` from the template
+/// every workload shares:
 ///
 /// 1. load each `(addr, bytes)` span of `inputs`;
-/// 2. for each token `l` of the L tile `tile`, load the `N` rows
-///    `rows(l)`, each `row_bytes` long, and accrue `compute_per_row`
-///    cycles, flushed as one `Compute` every
+/// 2. for each token of the L tile, load the `N` rows `rows` yields for
+///    it, each `row_bytes` long, and accrue `compute_per_row` cycles,
+///    flushed as one `Compute` every
 ///    [`compute_flush_rows`](TraceGenConfig::compute_flush_rows) tokens
 ///    and once more after the last;
 /// 3. barrier;
 /// 4. store each `(addr, bytes)` span of `outputs`.
 ///
-/// Every span is split into vector-width accesses. The instructions go
-/// into one allocation, sized up front.
-pub(crate) fn tile_block<const N: usize, I, O>(
+/// Every span is split into vector-width accesses. The caller
+/// ([`Lowering`]) sizes the arena up front.
+pub(crate) fn tile_block<const N: usize>(
+    instrs: &mut Vec<Instr>,
     cfg: &TraceGenConfig,
-    inputs: I,
-    tile: Range<usize>,
-    rows: impl Fn(usize) -> [Addr; N],
+    inputs: impl IntoIterator<Item = (Addr, u64)>,
+    rows: impl Iterator<Item = [Addr; N]>,
     row_bytes: u64,
     compute_per_row: u32,
-    outputs: O,
-) -> ThreadBlock
-where
-    I: IntoIterator<Item = (Addr, u64)>,
-    I::IntoIter: Clone,
-    O: IntoIterator<Item = (Addr, u64)>,
-    O::IntoIter: Clone,
-{
+    outputs: impl IntoIterator<Item = (Addr, u64)>,
+) {
     let vlen = cfg.vector_len_bytes;
     let flush = cfg.compute_flush_rows;
-    let (inputs, outputs) = (inputs.into_iter(), outputs.into_iter());
-    let accesses = |bytes: u64| bytes.div_ceil(vlen) as usize;
-    let len = inputs.clone().map(|(_, b)| accesses(b)).sum::<usize>()
-        + tile.len() * N * accesses(row_bytes)
-        + tile.len().div_ceil(flush)
-        + 1
-        + outputs.clone().map(|(_, b)| accesses(b)).sum::<usize>();
-    let mut instrs = Vec::with_capacity(len);
-
     for (addr, bytes) in inputs {
-        push_vector_accesses(&mut instrs, addr, bytes, vlen, false);
+        push_vector_accesses(instrs, addr, bytes, vlen, false);
     }
     let mut pending_compute = 0u32;
-    for (i, l) in tile.enumerate() {
-        for row in rows(l) {
-            push_vector_accesses(&mut instrs, row, row_bytes, vlen, false);
+    for (i, token_rows) in rows.enumerate() {
+        for row in token_rows {
+            push_vector_accesses(instrs, row, row_bytes, vlen, false);
         }
         pending_compute += compute_per_row;
         if (i + 1).is_multiple_of(flush) && pending_compute > 0 {
@@ -282,9 +281,8 @@ where
     }
     instrs.push(Instr::Barrier);
     for (addr, bytes) in outputs {
-        push_vector_accesses(&mut instrs, addr, bytes, vlen, true);
+        push_vector_accesses(instrs, addr, bytes, vlen, true);
     }
-    ThreadBlock { instrs }
 }
 
 /// Splits a contiguous `bytes`-long access at `base` into vector-width
@@ -306,16 +304,6 @@ fn push_vector_accesses(instrs: &mut Vec<Instr>, base: Addr, bytes: u64, vlen: u
         }
         off += chunk as u64;
     }
-}
-
-#[cfg(test)]
-pub(crate) fn program_fnv1a(program: &Program) -> u64 {
-    serde_json::to_vec(program)
-        .expect("program serializes")
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-        })
 }
 
 #[cfg(test)]
@@ -378,8 +366,7 @@ mod tests {
         let (p, _) = logit(&op, Layout::RoundRobinGInner, &TraceGenConfig::default());
         // Blocks 0..group_size must all read the same K lines.
         let k_lines = |tb: usize| -> HashSet<u64> {
-            p.blocks[tb]
-                .instrs
+            p.block(tb)
                 .iter()
                 .filter_map(|i| match i {
                     Instr::Load { addr, .. } if *addr >= crate::workload::K_BASE => {
@@ -404,8 +391,7 @@ mod tests {
         let (p, _) = logit(&op, Layout::RoundRobinLInner, &TraceGenConfig::default());
         // Adjacent blocks stream different K tiles.
         let k_addrs = |tb: usize| -> Vec<u64> {
-            p.blocks[tb]
-                .instrs
+            p.block(tb)
                 .iter()
                 .filter_map(|i| match i {
                     Instr::Load { addr, .. } if *addr >= crate::workload::K_BASE => Some(*addr),
@@ -421,8 +407,8 @@ mod tests {
         let op = small_op();
         let (p, _) = logit(&op, Layout::RoundRobinGInner, &TraceGenConfig::default());
         let mut lines = HashSet::new();
-        for b in &p.blocks {
-            for i in &b.instrs {
+        for b in p.blocks() {
+            for i in b {
                 if let Instr::Store { addr, bytes } = i {
                     let mut a = *addr;
                     while a < addr + *bytes as u64 {
@@ -443,8 +429,8 @@ mod tests {
             ..Default::default()
         };
         let (p, _) = logit(&op, Layout::RoundRobinGInner, &cfg);
-        let total: u32 = p.blocks[0]
-            .instrs
+        let total: u32 = p
+            .block(0)
             .iter()
             .map(|i| match i {
                 Instr::Compute { cycles } => *cycles,

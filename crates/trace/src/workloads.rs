@@ -36,12 +36,12 @@ use std::fmt;
 use std::sync::Arc;
 
 use llamcat_sim::kv::SHARED_KV_BASE;
-use llamcat_sim::prog::{Program, ThreadBlock};
+use llamcat_sim::prog::{Instr, Program};
 use llamcat_sim::types::Addr;
 use serde::{Deserialize, Serialize};
 
 use crate::mapping::{Layout, Mapping};
-use crate::tracegen::{generate_with, tile_block, TraceGenConfig, TraceMeta};
+use crate::tracegen::{tile_block, Lowering, TraceGenConfig, TraceMeta};
 use crate::workload::{LogitOp, ELEM_BYTES};
 
 /// An operator that can be lowered to per-core memory traces.
@@ -58,8 +58,9 @@ pub trait Workload: fmt::Debug + Send + Sync {
     /// The {H, G, L, D} iteration space the mapping machinery tiles.
     fn shape(&self) -> LogitOp;
 
-    /// Builds the instruction stream of one thread block
-    /// (`(h, g, l_tile_index, l_tile_extent)`).
+    /// Writes the instruction stream of one thread block
+    /// (`(h, g, l_tile_index, l_tile_extent)`) onto the end of `instrs`,
+    /// the program's instruction arena.
     fn build_block(
         &self,
         cfg: &TraceGenConfig,
@@ -67,7 +68,8 @@ pub trait Workload: fmt::Debug + Send + Sync {
         g: usize,
         lt: usize,
         l_tile: usize,
-    ) -> ThreadBlock;
+        instrs: &mut Vec<Instr>,
+    );
 
     /// Validates the workload shape (graceful error, no panics).
     fn validate(&self) -> Result<(), String> {
@@ -85,15 +87,12 @@ pub trait Workload: fmt::Debug + Send + Sync {
     /// ([`Mapping::validate`]) for a graceful error, or call
     /// [`Workload::lower`], which does.
     fn generate(&self, mapping: &Mapping, cfg: &TraceGenConfig) -> (Program, TraceMeta) {
-        let shape = self.shape();
-        generate_with(&shape, mapping, cfg, |h, g, lt, l_tile| {
-            self.build_block(cfg, h, g, lt, l_tile)
-        })
+        Lowering::new(self, mapping, cfg).into_program()
     }
 
     /// Lowers this workload to a program: the `layout` loop nest with
     /// `l_tile`-token thread blocks over `cfg.num_cores` cores, checked
-    /// and then walked by [`Workload::generate`].
+    /// and then walked as [`Workload::generate`] walks it.
     ///
     /// Errs, without panicking, when `l_tile` does not divide the
     /// sequence length or the nest breaks the paper's mapping
@@ -105,17 +104,30 @@ pub trait Workload: fmt::Debug + Send + Sync {
         l_tile: usize,
         cfg: &TraceGenConfig,
     ) -> Result<(Program, TraceMeta), String> {
-        let shape = self.shape();
-        if l_tile == 0 || !shape.seq_len.is_multiple_of(l_tile) {
-            return Err(format!(
-                "l_tile {l_tile} must divide seq_len {}",
-                shape.seq_len
-            ));
-        }
-        let mapping = self.mapping(layout, l_tile, cfg.num_cores);
-        mapping.validate(&shape)?;
-        Ok(self.generate(&mapping, cfg))
+        Ok(plan(self, layout, l_tile, cfg, cfg.num_cores)?.into_program())
     }
+}
+
+/// The checked half of [`Workload::lower`], on `num_cores` cores: the
+/// blocks of `workload`'s `layout` nest, planned but not yet built.
+pub(crate) fn plan<'a, W: Workload + ?Sized>(
+    workload: &'a W,
+    layout: Layout,
+    l_tile: usize,
+    cfg: &TraceGenConfig,
+    num_cores: usize,
+) -> Result<Lowering<'a, W>, String> {
+    let shape = workload.shape();
+    if l_tile == 0 || !shape.seq_len.is_multiple_of(l_tile) {
+        return Err(format!(
+            "l_tile {l_tile} must divide seq_len {}",
+            shape.seq_len
+        ));
+    }
+    let mapping = workload.mapping(layout, l_tile, num_cores);
+    mapping.validate(&shape)?;
+    let cfg = TraceGenConfig { num_cores, ..*cfg };
+    Ok(Lowering::new(workload, &mapping, &cfg))
 }
 
 /// The paper's evaluated operator: decode-stage Logit (Q·Kᵀ).
@@ -150,14 +162,15 @@ impl Workload for LogitWorkload {
         g: usize,
         lt: usize,
         l_tile: usize,
-    ) -> ThreadBlock {
+        instrs: &mut Vec<Instr>,
+    ) {
         let op = &self.op;
         let l0 = lt * l_tile;
         tile_block(
+            instrs,
             cfg,
             [(op.q_addr(h, g, 0), op.k_row_bytes())],
-            l0..l0 + l_tile,
-            |l| [op.k_addr(h, l, 0)],
+            (l0..l0 + l_tile).map(|l| [op.k_addr(h, l, 0)]),
             op.k_row_bytes(),
             cfg.compute_cycles_per_row,
             [(op.score_addr(h, g, l0), l_tile as u64 * ELEM_BYTES)],
@@ -205,17 +218,18 @@ impl Workload for AttnOutputWorkload {
         g: usize,
         lt: usize,
         l_tile: usize,
-    ) -> ThreadBlock {
+        instrs: &mut Vec<Instr>,
+    ) {
         let op = &self.op;
         let l0 = lt * l_tile;
         // Load the probability tile A[h][g][l0 .. l0+l_tile] (produced
         // by the Logit operator at the same addresses), stream the V
         // rows, then store this tile's partial output row.
         tile_block(
+            instrs,
             cfg,
             [(op.score_addr(h, g, l0), l_tile as u64 * ELEM_BYTES)],
-            l0..l0 + l_tile,
-            |l| [op.v_addr(h, l, 0)],
+            (l0..l0 + l_tile).map(|l| [op.v_addr(h, l, 0)]),
             op.k_row_bytes(),
             cfg.compute_cycles_per_row,
             [(
@@ -299,19 +313,20 @@ impl Workload for PrefillLogitWorkload {
         g: usize,
         lt: usize,
         l_tile: usize,
-    ) -> ThreadBlock {
+        instrs: &mut Vec<Instr>,
+    ) {
         let op = &self.op;
         let l0 = lt * l_tile;
         let tokens = 0..self.query_tokens;
         // Every K row feeds `query_tokens` dot products; one score tile
         // per query token.
         tile_block(
+            instrs,
             cfg,
             tokens
                 .clone()
                 .map(|t| (self.q_addr(h, g, t, 0), op.k_row_bytes())),
-            l0..l0 + l_tile,
-            |l| [op.k_addr(h, l, 0)],
+            (l0..l0 + l_tile).map(|l| [op.k_addr(h, l, 0)]),
             op.k_row_bytes(),
             cfg.compute_cycles_per_row * self.query_tokens as u32,
             tokens.map(|t| (self.score_addr(h, g, t, l0), l_tile as u64 * ELEM_BYTES)),
@@ -380,23 +395,24 @@ impl Workload for SharedPrefixWorkload {
         g: usize,
         lt: usize,
         l_tile: usize,
-    ) -> ThreadBlock {
+        instrs: &mut Vec<Instr>,
+    ) {
         let op = &self.op;
         let prefix = self.effective_prefix();
         let l0 = lt * l_tile;
         // Shared-window K rows for the prefix, per-request rows for the
         // rest; the scores are per-request.
         tile_block(
+            instrs,
             cfg,
             [(op.q_addr(h, g, 0), op.k_row_bytes())],
-            l0..l0 + l_tile,
-            |l| {
+            (l0..l0 + l_tile).map(|l| {
                 [if l < prefix {
                     self.shared_k_addr(h, l, 0)
                 } else {
                     op.k_addr(h, l, 0)
                 }]
-            },
+            }),
             op.k_row_bytes(),
             cfg.compute_cycles_per_row,
             [(op.score_addr(h, g, l0), l_tile as u64 * ELEM_BYTES)],
@@ -448,17 +464,18 @@ impl Workload for GqaDecodeWorkload {
         g: usize,
         lt: usize,
         l_tile: usize,
-    ) -> ThreadBlock {
+        instrs: &mut Vec<Instr>,
+    ) {
         let op = &self.op;
         let l0 = lt * l_tile;
         // Score each K row, then fold its V row into the accumulator;
         // scores stay in registers, only the partial output row is
         // stored.
         tile_block(
+            instrs,
             cfg,
             [(op.q_addr(h, g, 0), op.k_row_bytes())],
-            l0..l0 + l_tile,
-            |l| [op.k_addr(h, l, 0), op.v_addr(h, l, 0)],
+            (l0..l0 + l_tile).map(|l| [op.k_addr(h, l, 0), op.v_addr(h, l, 0)]),
             op.k_row_bytes(),
             2 * cfg.compute_cycles_per_row,
             [(
@@ -667,8 +684,8 @@ mod tests {
         // Same stream volume as the logit operator's K traffic, but all
         // bulk loads land in the V region and the per-pair row loads in
         // the score (A) region; nothing touches K.
-        for b in &p.blocks {
-            for i in &b.instrs {
+        for b in p.blocks() {
+            for i in b {
                 if let Instr::Load { addr, .. } = i {
                     let in_v = (V_BASE..OUT_BASE).contains(addr);
                     let in_a = (SCORE_BASE..V_BASE).contains(addr);
@@ -697,8 +714,8 @@ mod tests {
         let mapping = w.mapping(Layout::PairStream, 32, cfg.num_cores);
         let (p, _) = w.generate(&mapping, &cfg);
         let mut lines = HashSet::new();
-        for b in &p.blocks {
-            for i in &b.instrs {
+        for b in p.blocks() {
+            for i in b {
                 if let Instr::Store { addr, bytes } = i {
                     let mut a = *addr;
                     while a < addr + *bytes as u64 {
@@ -757,8 +774,8 @@ mod tests {
         let mapping = w.mapping(Layout::PairStream, 32, cfg.num_cores);
         let (p, meta) = w.generate(&mapping, &cfg);
         let (mut shared_bytes, mut private_bytes) = (0u64, 0u64);
-        for b in &p.blocks {
-            for i in &b.instrs {
+        for b in p.blocks() {
+            for i in b {
                 match i {
                     Instr::Load { addr, bytes } if *addr >= SHARED_KV_BASE => {
                         shared_bytes += *bytes as u64;
@@ -808,8 +825,8 @@ mod tests {
         let cfg = TraceGenConfig::default();
         let mapping = all.mapping(Layout::PairStream, 32, cfg.num_cores);
         let (p, _) = all.generate(&mapping, &cfg);
-        for b in &p.blocks {
-            for i in &b.instrs {
+        for b in p.blocks() {
+            for i in b {
                 if let Instr::Load { addr, .. } = i {
                     let in_q = *addr < K_BASE;
                     assert!(
@@ -822,8 +839,8 @@ mod tests {
         // prefix_len = 0 degrades to plain decode Logit placement.
         let none = SharedPrefixWorkload::new(op, 0);
         let (p, _) = none.generate(&mapping, &cfg);
-        for b in &p.blocks {
-            for i in &b.instrs {
+        for b in p.blocks() {
+            for i in b {
                 if let Instr::Load { addr, .. } = i {
                     assert!(*addr < SCORE_BASE, "no shared traffic at p0");
                 }
@@ -850,8 +867,8 @@ mod tests {
             meta.total_store_bytes,
             meta.num_blocks as u64 * op.k_row_bytes()
         );
-        for b in &p.blocks {
-            for i in &b.instrs {
+        for b in p.blocks() {
+            for i in b {
                 match i {
                     Instr::Load { addr, .. } => assert!(
                         *addr < SCORE_BASE || (V_BASE..OUT_BASE).contains(addr),
@@ -1038,7 +1055,7 @@ mod tests {
                     let (p, meta) = w.generate(&mapping, cfg);
                     assert_eq!(p.num_blocks(), meta.num_blocks);
                     assert!(meta.total_load_bytes > 0);
-                    got[c][wi][li] = crate::tracegen::program_fnv1a(&p);
+                    got[c][wi][li] = crate::format::program_fnv1a(&p);
                 }
             }
         }

@@ -214,8 +214,8 @@ proptest! {
         let q_end = Q_BASE + op.q_bytes();
         let k_end = K_BASE + op.k_bytes();
         let s_end = SCORE_BASE + op.score_bytes();
-        for block in &program.blocks {
-            for i in &block.instrs {
+        for block in program.blocks() {
+            for i in block {
                 match *i {
                     Instr::Load { addr, bytes } => {
                         let end = addr + bytes as u64;
