@@ -21,6 +21,8 @@
 //! `ThrottleController` type plugs into `llamcat_sim::system::System`
 //! directly.
 
+use std::sync::Arc;
+
 use llamcat_sim::arb::{FifoArbiter, NoThrottle};
 use llamcat_sim::config::{L2Config, SystemConfig};
 use llamcat_sim::kv::{KvEviction, KvTierConfig};
@@ -28,7 +30,7 @@ use llamcat_sim::serve::ServePolicy;
 use llamcat_sim::types::Cycle;
 pub use llamcat_trace::arrivals::ArrivalSpec;
 use llamcat_trace::mix::{MixAssignment, WorkloadMix};
-use llamcat_trace::workloads::WorkloadSpec;
+use llamcat_trace::workloads::{Workload, WorkloadSpec};
 use serde::{Deserialize, Serialize};
 
 use crate::arbiter::{
@@ -494,11 +496,23 @@ impl MixSpec {
         self.instantiate().validate()
     }
 
-    /// Builds the runnable [`WorkloadMix`].
+    /// Builds the runnable [`WorkloadMix`]. Requests of one family at one
+    /// sequence length share one workload instance, so the mix's trace
+    /// holds their blocks once (see [`WorkloadMix::generate`]).
     pub fn instantiate(&self) -> WorkloadMix {
+        let mut instances: Vec<((WorkloadSpec, usize), Arc<dyn Workload>)> = Vec::new();
         let mut mix = WorkloadMix::new(self.assignment);
         for r in &self.requests {
-            mix = mix.classed_request(r.workload.instantiate(r.seq_len), r.arrival, r.class);
+            let key = (r.workload, r.seq_len);
+            let workload = match instances.iter().find(|(k, _)| *k == key) {
+                Some((_, w)) => w.clone(),
+                None => {
+                    let w = r.workload.instantiate(r.seq_len);
+                    instances.push((key, w.clone()));
+                    w
+                }
+            };
+            mix = mix.classed_request(workload, r.arrival, r.class);
         }
         mix
     }
@@ -904,6 +918,19 @@ mod tests {
             mix.label(),
             "mix:part[llama3 70b/L128 + llama3 70b/L256@500]"
         );
+    }
+
+    #[test]
+    fn mix_spec_requests_of_one_family_and_length_share_an_instance() {
+        let mix = MixSpec::interleaved()
+            .request(WorkloadSpec::llama3_70b(), 128, 0)
+            .request(WorkloadSpec::llama3_70b(), 256, 0)
+            .request(WorkloadSpec::llama3_70b(), 128, 500)
+            .instantiate();
+        let w = |r: usize| &mix.requests[r].workload;
+        assert!(Arc::ptr_eq(w(0), w(2)), "same family and length");
+        assert!(!Arc::ptr_eq(w(0), w(1)), "another length");
+        assert_eq!(mix.requests[2].arrival, 500);
     }
 
     #[test]

@@ -275,17 +275,16 @@ impl VectorCore {
             // Implicit end-of-block barrier.
             return false;
         }
-        let instrs = program.block(tb);
         let request = program.request_of(tb);
-        if w.pc as usize >= instrs.len() {
+        let Some(instr) = program.block(tb).get(w.pc as usize) else {
             // Mark completed-pending-loads; retired next tick.
             self.windows[wi].pc = NONE32;
             if w.outstanding == 0 {
                 self.retire_pending = true;
             }
             return false;
-        }
-        match instrs[w.pc as usize] {
+        };
+        match instr {
             Instr::Compute { cycles } => {
                 self.compute_busy_until = now + cycles as u64;
                 self.windows[wi].pc += 1;

@@ -7,11 +7,25 @@
 //! instruction windows and migrates between cores.
 //!
 //! A [`Program`] is the one representation of a trace, from generation
-//! to simulation: all blocks' instructions in one arena, read block by
-//! block as slices. The system shares it as it is, copying nothing.
+//! to simulation. Its instruction arena holds each *distinct* block
+//! once, as a [`Template`]; every thread block is a template plus a
+//! relocation base, read as a [`Block`] view. Tenants of a mix or a
+//! serve set that run the same operator are the same template at
+//! different bases, so trace memory grows with the distinct tenants,
+//! not with the requests. A solo trace is the base-0 case. The system
+//! shares the program as it is, copying nothing.
+//!
+//! One rule relocates, [`relocate`]: a load or store below
+//! [`SHARED_KV_BASE`] moves by the block's base; shared-prefix lines
+//! (at or above it) stay where they are, so every tenant reading a
+//! common system prompt reads the same lines. The cores apply it as
+//! they issue.
+
+use std::hint::select_unpredictable;
 
 use serde::{Deserialize, Serialize};
 
+use crate::kv::SHARED_KV_BASE;
 use crate::types::{Addr, Cycle};
 
 /// One vector instruction of a thread block.
@@ -43,11 +57,15 @@ pub type RequestId = u32;
 /// assignment to cores.
 ///
 /// A thread block is a short sequence of instructions covering 1–2
-/// output cache lines (Section 6.2.2). Every block lives in one
-/// instruction arena, back to back in block order: trace generation
-/// appends blocks in place ([`Program::push_block`]) and the simulator
-/// reads block `tb` as the slice [`Program::block`] returns. The trace
-/// files of `llamcat_trace::format` convert to and from this layout.
+/// output cache lines (Section 6.2.2). Its instructions live in the
+/// program's one arena as a [`Template`], which any number of blocks
+/// share: block `tb` reads its template relocated by its own base (see
+/// [`relocate`]), as the view [`Program::block`] returns. Trace
+/// generation appends new blocks in place ([`Program::push_block`]) and
+/// aliases repeated ones ([`Program::push_relocated`]). The trace files
+/// of `llamcat_trace::format` write every block expanded and read back
+/// base-0 blocks; equality compares the expanded blocks, never the
+/// sharing.
 ///
 /// `assignment[i]` is the home core of block `i`; the runtime scheduler
 /// may migrate blocks to other cores when their home core falls behind.
@@ -57,19 +75,144 @@ pub type RequestId = u32;
 /// (blocks are not schedulable before their arrival). Both vectors are
 /// optional: empty means "one request, present from cycle 0" — the
 /// solo-trace encoding.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Program {
-    /// Every block's instructions, back to back in block order.
+    /// Every distinct block's instructions, as trace generation wrote
+    /// them.
     instrs: Vec<Instr>,
-    /// `start[tb]..start[tb + 1]` is block `tb`'s range of `instrs`
-    /// (one entry more than there are blocks).
-    start: Vec<u32>,
+    /// Block `tb`'s template and relocation base.
+    spans: Vec<Span>,
     pub assignment: Vec<usize>,
     /// Per-block request id; empty = all blocks belong to request 0.
     pub request_tags: Vec<RequestId>,
     /// Per-block release cycle; empty = all blocks available at cycle 0.
     pub arrivals: Vec<Cycle>,
 }
+
+/// A range of a program's instruction arena holding one block's
+/// instructions, unrelocated. Blocks that run the same instructions at
+/// different bases share it.
+#[derive(Debug, Clone, Copy)]
+pub struct Template {
+    start: u32,
+    end: u32,
+}
+
+/// One thread block: its template and relocation base.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    template: Template,
+    base: Addr,
+}
+
+/// The one relocation rule: `instr` as a block at `base` issues it. A
+/// load or store below [`SHARED_KV_BASE`] moves by `base`; shared-prefix
+/// lines, and every other instruction, are left as they are.
+#[inline]
+pub fn relocate(instr: Instr, base: Addr) -> Instr {
+    // Branch-free: a block may alternate shared and private lines.
+    let at = |addr: Addr| select_unpredictable(addr < SHARED_KV_BASE, addr + base, addr);
+    match instr {
+        Instr::Load { addr, bytes } => Instr::Load {
+            addr: at(addr),
+            bytes,
+        },
+        Instr::Store { addr, bytes } => Instr::Store {
+            addr: at(addr),
+            bytes,
+        },
+        Instr::Compute { .. } | Instr::Barrier => instr,
+    }
+}
+
+/// One thread block's instructions as its core issues them: a template
+/// read through its block's relocation base.
+#[derive(Clone, Copy)]
+pub struct Block<'a> {
+    template: &'a [Instr],
+    base: Addr,
+}
+
+impl<'a> Block<'a> {
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.template.len()
+    }
+
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.template.is_empty()
+    }
+
+    /// Instruction `pc`, relocated; `None` past the end.
+    #[inline]
+    pub fn get(&self, pc: usize) -> Option<Instr> {
+        self.template.get(pc).map(|&i| relocate(i, self.base))
+    }
+
+    /// The instructions, relocated.
+    pub fn iter(&self) -> Instrs<'a> {
+        Instrs {
+            template: self.template.iter(),
+            base: self.base,
+        }
+    }
+
+    /// The instructions, relocated, in a vector of their own.
+    pub fn to_vec(&self) -> Vec<Instr> {
+        self.iter().collect()
+    }
+}
+
+impl<'a> IntoIterator for Block<'a> {
+    type Item = Instr;
+    type IntoIter = Instrs<'a>;
+
+    fn into_iter(self) -> Instrs<'a> {
+        self.iter()
+    }
+}
+
+impl PartialEq for Block<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Block<'_> {}
+
+/// Iterator over a [`Block`]'s relocated instructions.
+#[derive(Clone)]
+pub struct Instrs<'a> {
+    template: std::slice::Iter<'a, Instr>,
+    base: Addr,
+}
+
+impl Iterator for Instrs<'_> {
+    type Item = Instr;
+
+    #[inline]
+    fn next(&mut self) -> Option<Instr> {
+        self.template.next().map(|&i| relocate(i, self.base))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.template.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Instrs<'_> {}
+
+impl PartialEq for Program {
+    fn eq(&self, other: &Self) -> bool {
+        self.assignment == other.assignment
+            && self.request_tags == other.request_tags
+            && self.arrivals == other.arrivals
+            && self.blocks().eq(other.blocks())
+    }
+}
+
+impl Eq for Program {}
 
 impl Default for Program {
     fn default() -> Self {
@@ -78,39 +221,63 @@ impl Default for Program {
 }
 
 impl Program {
-    /// An empty program with room for `blocks` blocks holding `instrs`
-    /// instructions in all.
+    /// An empty program with room for `blocks` blocks over templates
+    /// holding `instrs` instructions in all.
     pub fn with_capacity(blocks: usize, instrs: usize) -> Self {
-        let mut start = Vec::with_capacity(blocks + 1);
-        start.push(0);
         Program {
             instrs: Vec::with_capacity(instrs),
-            start,
+            spans: Vec::with_capacity(blocks),
             assignment: Vec::with_capacity(blocks),
             request_tags: Vec::new(),
             arrivals: Vec::new(),
         }
     }
 
-    /// Appends one thread block homed on `core`: `fill` pushes the
-    /// block's instructions onto the end of the arena, which already
-    /// holds every earlier block's.
-    pub fn push_block(&mut self, core: usize, fill: impl FnOnce(&mut Vec<Instr>)) {
+    /// Adds a template to the arena: `fill` pushes its instructions
+    /// onto the end of the arena, which already holds every earlier
+    /// template's. No block uses it until
+    /// [`push_relocated`](Program::push_relocated) names it.
+    pub fn template(&mut self, fill: impl FnOnce(&mut Vec<Instr>)) -> Template {
         let first = self.instrs.len();
         fill(&mut self.instrs);
         assert!(
             self.instrs.len() >= first,
-            "a block may only append to the arena"
+            "a template may only append to the arena"
         );
         let end = u32::try_from(self.instrs.len())
             .expect("a program holds at most u32::MAX instructions");
-        self.start.push(end);
+        Template {
+            start: first as u32,
+            end,
+        }
+    }
+
+    /// Appends one thread block homed on `core` that runs `template`
+    /// relocated by `base`.
+    pub fn push_relocated(&mut self, core: usize, template: Template, base: Addr) {
+        debug_assert!(template.end as usize <= self.instrs.len());
+        self.spans.push(Span { template, base });
         self.assignment.push(core);
     }
 
-    /// Drops the arena's spare capacity.
+    /// Appends one thread block homed on `core` over a template of its
+    /// own at base 0: `fill` pushes the block's instructions onto the
+    /// end of the arena.
+    pub fn push_block(&mut self, core: usize, fill: impl FnOnce(&mut Vec<Instr>)) {
+        let template = self.template(fill);
+        self.push_relocated(core, template, 0);
+    }
+
+    /// Drops the arena's and the block list's spare capacity.
     pub fn shrink_to_fit(&mut self) {
         self.instrs.shrink_to_fit();
+        self.spans.shrink_to_fit();
+    }
+
+    /// Instructions the arena holds: every template once, however many
+    /// blocks share it.
+    pub fn arena_len(&self) -> usize {
+        self.instrs.len()
     }
 
     /// A fully tagged program, built block by block (tests and
@@ -150,20 +317,22 @@ impl Program {
     }
 
     pub fn num_blocks(&self) -> usize {
-        self.start.len() - 1
+        self.spans.len()
     }
 
     /// Block `tb`'s instructions.
     #[inline]
-    pub fn block(&self, tb: TbId) -> &[Instr] {
-        &self.instrs[self.start[tb] as usize..self.start[tb + 1] as usize]
+    pub fn block(&self, tb: TbId) -> Block<'_> {
+        let Span { template, base } = self.spans[tb];
+        Block {
+            template: &self.instrs[template.start as usize..template.end as usize],
+            base,
+        }
     }
 
     /// Every block's instructions, in block order.
-    pub fn blocks(&self) -> impl ExactSizeIterator<Item = &[Instr]> {
-        self.start
-            .windows(2)
-            .map(|w| &self.instrs[w[0] as usize..w[1] as usize])
+    pub fn blocks(&self) -> impl ExactSizeIterator<Item = Block<'_>> {
+        (0..self.num_blocks()).map(|tb| self.block(tb))
     }
 
     /// Request that thread block `tb` belongs to (0 for solo traces).
@@ -248,8 +417,8 @@ mod tests {
         );
         assert_eq!(p.num_blocks(), 2);
         assert_eq!(p.block(0).len(), 5);
-        assert_eq!(p.block(1), &[Instr::Barrier]);
-        assert_eq!(p.blocks().map(<[Instr]>::len).collect::<Vec<_>>(), [5, 1]);
+        assert_eq!(p.block(1).to_vec(), [Instr::Barrier]);
+        assert_eq!(p.blocks().map(|b| b.len()).collect::<Vec<_>>(), [5, 1]);
     }
 
     #[test]
@@ -281,5 +450,61 @@ mod tests {
         assert_eq!(p.arrival_of(2), 500);
         assert_eq!(p.blocks_per_request(), vec![2, 2]);
         assert_eq!(p.request_arrivals(), vec![0, 500]);
+    }
+
+    #[test]
+    fn relocation_moves_private_accesses_only() {
+        let base = 3 << 40;
+        let load = |addr| Instr::Load { addr, bytes: 128 };
+        assert_eq!(relocate(load(64), base), load(base + 64));
+        assert_eq!(
+            relocate(Instr::Store { addr: 0, bytes: 8 }, base),
+            Instr::Store {
+                addr: base,
+                bytes: 8
+            }
+        );
+        assert_eq!(relocate(load(SHARED_KV_BASE - 1), 1), load(SHARED_KV_BASE));
+        assert_eq!(relocate(load(SHARED_KV_BASE), base), load(SHARED_KV_BASE));
+        assert_eq!(relocate(Instr::Barrier, base), Instr::Barrier);
+        let compute = Instr::Compute { cycles: 7 };
+        assert_eq!(relocate(compute, base), compute);
+    }
+
+    #[test]
+    fn shared_templates_read_as_their_expansion() {
+        let instrs = [
+            Instr::Load {
+                addr: 128,
+                bytes: 128,
+            },
+            Instr::Load {
+                addr: SHARED_KV_BASE,
+                bytes: 64,
+            },
+            Instr::Barrier,
+        ];
+        let mut shared = Program::default();
+        let t = shared.template(|arena| arena.extend(instrs));
+        shared.push_relocated(0, t, 0);
+        shared.push_relocated(1, t, 1 << 40);
+        assert_eq!(shared.arena_len(), 3, "one template for both blocks");
+        let moved = [
+            Instr::Load {
+                addr: (1 << 40) + 128,
+                bytes: 128,
+            },
+            instrs[1],
+            instrs[2],
+        ];
+        assert_eq!(shared.block(1).to_vec(), moved);
+        assert_eq!(shared.block(1).get(0), Some(moved[0]));
+        assert_eq!(shared.block(1).get(3), None);
+        // Equality compares expanded blocks, not how they are stored.
+        let expanded = Program::round_robin([&instrs[..], &moved[..]], 2);
+        assert_eq!(expanded.arena_len(), 6);
+        assert_eq!(shared, expanded);
+        let other = Program::round_robin([&instrs[..], &instrs[..]], 2);
+        assert_ne!(shared, other);
     }
 }

@@ -8,8 +8,10 @@
 //!
 //! This module alone knows the on-disk shapes (the nested
 //! `{"blocks":[{"instrs":[…]}],…}` JSON and the v1/v2 binary layouts)
-//! and converts them to and from [`Program`]'s one instruction arena.
-//! A malformed file is an error, never a panic.
+//! and converts them to and from [`Program`]'s instruction arena. Every
+//! block is written expanded, its template relocated by its base, so a
+//! file never shows which blocks share a template; it reads back as
+//! base-0 blocks. A malformed file is an error, never a panic.
 
 use std::io::{self, Read, Write};
 
@@ -86,6 +88,9 @@ impl ProgramJson {
         if cores != n || ![0, n].contains(&tags) || ![0, n].contains(&arrivals) {
             return Err(format!("trace has {n} blocks but {cores} home cores, {tags} request tags and {arrivals} arrivals"));
         }
+        if let Some(&tag) = self.request_tags.iter().find(|&&r| r as usize >= n) {
+            return Err(sparse_tag(tag, n as u64));
+        }
         let instrs = self.blocks.iter().map(|b| b.instrs.len()).sum();
         let mut program = Program::with_capacity(n, instrs);
         for (block, core) in self.blocks.into_iter().zip(self.assignment) {
@@ -135,7 +140,7 @@ impl TraceFile {
             write_u64(w, block.len() as u64)?;
             for i in block {
                 // A tag byte, then the instruction's fields as u64s.
-                let (tag, fields) = match *i {
+                let (tag, fields) = match i {
                     Instr::Compute { cycles } => (0, [Some(cycles as u64), None]),
                     Instr::Load { addr, bytes } => (1, [Some(addr), Some(bytes as u64)]),
                     Instr::Store { addr, bytes } => (2, [Some(addr), Some(bytes as u64)]),
@@ -178,7 +183,11 @@ impl TraceFile {
         for _ in 0..num_blocks {
             let core = read_u64(r)? as usize;
             if tagged {
-                program.request_tags.push(read_u32(r)?);
+                let tag = read_u32(r)?;
+                if tag as u64 >= num_blocks {
+                    return Err(invalid(&sparse_tag(tag, num_blocks)));
+                }
+                program.request_tags.push(tag);
                 program.arrivals.push(read_u64(r)?);
             }
             let len = read_u64(r)?;
@@ -194,6 +203,14 @@ impl TraceFile {
         }
         Ok(TraceFile { op, meta, program })
     }
+}
+
+/// The error for request tag `tag` in a trace of `blocks` blocks. Such a
+/// trace holds at most `blocks` requests, and the simulator sizes its
+/// per-request tables by the largest tag: a tag at or beyond the block
+/// count would ask for memory no such trace needs.
+fn sparse_tag(tag: RequestId, blocks: u64) -> String {
+    format!("request tag {tag} is not below the trace's {blocks} blocks")
 }
 
 fn invalid(msg: &str) -> io::Error {
@@ -517,6 +534,44 @@ mod tests {
         assert!(read(&one_instr(0, &[1 << 32])).is_err(), "compute cycles");
         assert!(read(&one_instr(1, &[64, 1 << 32])).is_err(), "load bytes");
         assert!(read(&one_instr(2, &[64, 1 << 32])).is_err(), "store bytes");
+    }
+
+    #[test]
+    fn binary_request_tags_beyond_the_block_count_are_rejected() {
+        // A v2 record is home core, request tag, arrival, instruction
+        // count: the first block's tag follows the block count and the
+        // core.
+        let t = tagged_sample();
+        let n = t.program.num_blocks() as u64;
+        let mut v2 = Vec::new();
+        t.write_binary(&mut v2).unwrap();
+        let tag_at = blocks_at(&v2) + 16;
+        for (tag, ok) in [(n - 1, true), (n, false), (4_000_000_000, false)] {
+            let mut buf = v2.clone();
+            set_u64(&mut buf, tag_at, tag);
+            match read(&buf) {
+                Ok(u) => assert!(ok && u.program.request_of(0) as u64 == tag, "tag {tag}"),
+                Err(e) => assert!(!ok && e.kind() == io::ErrorKind::InvalidData, "tag {tag}"),
+            }
+        }
+    }
+
+    #[test]
+    fn json_request_tags_beyond_the_block_count_are_rejected() {
+        let t = tagged_sample();
+        let n = t.program.num_blocks();
+        let json = t.to_json();
+        for (tag, ok) in [(n - 1, true), (n, false), (4_000_000_000, false)] {
+            let sparse = edit(
+                &json,
+                r#""request_tags":[0,"#,
+                &format!(r#""request_tags":[{tag},"#),
+            );
+            match TraceFile::from_json(&sparse) {
+                Ok(u) => assert!(ok && u.program.request_of(0) as usize == tag, "tag {tag}"),
+                Err(e) => assert!(!ok && e.contains("request tag"), "tag {tag}: {e}"),
+            }
+        }
     }
 
     proptest::proptest! {

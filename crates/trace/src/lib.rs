@@ -23,7 +23,9 @@
 //! * [`mix`] — multi-tenant serving mixes: N co-scheduled requests
 //!   (mixed prefill/decode, staggered arrivals) composed into one
 //!   request-tagged program via core partitioning or interleaving,
-//!   plus the open-system serve-set composer;
+//!   plus the open-system serve-set composer; tenants of one workload
+//!   instance share its blocks' instructions, each at its own
+//!   relocation base;
 //! * [`arrivals`] — deterministic seeded arrival processes (fixed /
 //!   Poisson / bursty / trace replay) for open-system serving;
 //! * [`format`](mod@format) — JSON and compact binary trace persistence.

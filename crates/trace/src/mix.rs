@@ -22,13 +22,19 @@
 //!   requests additionally contend for cores, instruction windows and
 //!   L1s — the time-sharing discipline.
 //!
-//! Tenants live in disjoint address spaces: request `r`'s trace is
-//! offset by `r * REQUEST_VA_STRIDE`, so no KV-cache line is ever
-//! (falsely) shared across requests. The one deliberate exception is
-//! the shared-prefix KV window (see
+//! Tenants live in disjoint address spaces: request `r`'s blocks run
+//! at relocation base `r * REQUEST_VA_STRIDE`, so no KV-cache line is
+//! ever (falsely) shared across requests. The one deliberate exception
+//! is the shared-prefix KV window (see
 //! [`SharedPrefixWorkload`](crate::workloads::SharedPrefixWorkload)):
 //! addresses at/above `SHARED_KV_BASE` are left unrelocated, so every
-//! tenant reading a common system prompt hits the *same* lines.
+//! tenant reading a common system prompt hits the *same* lines. The
+//! rule is [`relocate`](llamcat_sim::prog::relocate), applied by the
+//! cores at issue, not here: composition builds each distinct block
+//! (same workload instance, tile and `(h, g, l-tile)`) once into the
+//! program's arena, and every later tenant aliases it at its own base.
+//! Tenants that share one `Arc<dyn Workload>` therefore cost one
+//! tenant's instructions, however many requests there are.
 //!
 //! A [`WorkloadMix`] is the *closed-system* composition: the request
 //! set and every arrival cycle are baked into the [`Program`] before
@@ -39,8 +45,10 @@
 //! and home cores *relative* so the simulator's request injector can
 //! place each admitted request at admission time.
 
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+use llamcat_sim::kv::SHARED_KV_BASE;
 use llamcat_sim::prog::{Instr, Program, RequestId};
 use llamcat_sim::types::{Addr, Cycle};
 use serde::{Deserialize, Serialize};
@@ -219,10 +227,11 @@ impl WorkloadMix {
 
     /// Lowers the mix to one request-tagged [`Program`].
     ///
-    /// Every request is generated through the ordinary [`Workload`]
-    /// machinery (same `layout`, same `l_tile`), relocated into its own
-    /// address space, tagged, and composed per the assignment
-    /// discipline. Deterministic: same mix, same program.
+    /// Every request is planned through the ordinary [`Workload`]
+    /// machinery (same `layout`, same `l_tile`), tagged, given its own
+    /// address space as a relocation base, and composed per the
+    /// assignment discipline; requests sharing a workload instance share
+    /// its blocks. Deterministic: same mix, same program.
     pub fn generate(
         &self,
         layout: Layout,
@@ -254,8 +263,9 @@ impl WorkloadMix {
 
 /// Composes `requests` into one *open-system* serve set: every
 /// request's trace is generated on the relative core range
-/// `0..cores_per_request`, relocated into its own address space and
-/// request-tagged — but the program carries **no arrivals** and the
+/// `0..cores_per_request`, given its own address space as a relocation
+/// base and request-tagged (requests sharing a workload instance share
+/// its blocks) — but the program carries **no arrivals** and the
 /// home cores stay relative. The simulator's request injector decides
 /// *when* each request's blocks become schedulable and *which*
 /// absolute cores they land on (FCFS and concurrency caps keep the
@@ -292,16 +302,26 @@ pub fn generate_serve_set(
     Ok((program, MixMeta::fold(metas)))
 }
 
-/// Builds the tenants' blocks into one request-tagged program, each
-/// block once and straight into its arena, which is sized up front:
-/// request-major, or round-robin by request when `interleaved` (per-core
-/// queues then alternate tenants). Tenant `r` is tagged `r` and moved
-/// into its own address space. Returns each tenant's summary too.
+/// Composes the tenants into one request-tagged program: request-major,
+/// or round-robin by request when `interleaved` (per-core queues then
+/// alternate tenants). Tenant `r` is tagged `r` and runs at relocation
+/// base `r * REQUEST_VA_STRIDE`.
+///
+/// Each distinct block (same workload instance, tile and
+/// `(h, g, l-tile)`, see [`Lowering::template_key`]) is built once,
+/// straight into the arena, which is sized up front for the distinct
+/// tenants; every later tenant's copy of it is an alias at its own base.
+/// Returns each tenant's summary too.
 fn compose(tenants: &[Lowering<dyn Workload>], interleaved: bool) -> (Program, Vec<TraceMeta>) {
     let blocks = tenants.iter().map(|t| t.blocks.len()).sum();
-    let instrs = tenants.iter().map(Lowering::instrs_estimate).sum();
+    let mut instances = HashSet::new();
+    let instrs = (tenants.iter())
+        .filter(|t| instances.insert(t.instance()))
+        .map(Lowering::instrs_estimate)
+        .sum();
     let mut program = Program::with_capacity(blocks, instrs);
     program.request_tags.reserve_exact(blocks);
+    let mut templates = HashMap::new();
     let mut metas = vec![TraceMeta::default(); tenants.len()];
     let rounds = tenants.iter().map(|t| t.blocks.len()).max().unwrap_or(0);
     let order: Box<dyn Iterator<Item = (usize, usize)>> = match interleaved {
@@ -310,39 +330,34 @@ fn compose(tenants: &[Lowering<dyn Workload>], interleaved: bool) -> (Program, V
     };
     for (r, i) in order.filter(|&(r, i)| i < tenants[r].blocks.len()) {
         let tenant = &tenants[r];
-        program.push_block(tenant.blocks[i][0], |arena| {
-            let first = arena.len();
-            tenant.build(i, arena);
-            relocate(&mut arena[first..], r as Addr * REQUEST_VA_STRIDE);
-            metas[r].add(&arena[first..]);
+        let template = *templates.entry(tenant.template_key(i)).or_insert_with(|| {
+            program.template(|arena| {
+                let first = arena.len();
+                tenant.build(i, arena);
+                debug_assert!(
+                    arena[first..].iter().all(private_within_stride),
+                    "solo trace address exceeds the tenant VA stride"
+                );
+            })
         });
+        let tb = program.num_blocks();
+        program.push_relocated(tenant.blocks[i][0], template, r as Addr * REQUEST_VA_STRIDE);
+        metas[r].add(program.block(tb));
         program.request_tags.push(r as RequestId);
     }
     program.shrink_to_fit();
     (program, metas)
 }
 
-/// Shifts memory accesses into a tenant's address space.
-/// Shared-prefix KV lines (at/above
-/// [`SHARED_KV_BASE`](llamcat_sim::kv::SHARED_KV_BASE)) are left in
-/// place: one copy across all tenants is the whole point of a shared
-/// system prompt.
-fn relocate(instrs: &mut [Instr], offset: Addr) {
-    use llamcat_sim::kv::SHARED_KV_BASE;
-    for instr in instrs {
-        match instr {
-            Instr::Load { addr, .. } | Instr::Store { addr, .. } => {
-                if *addr >= SHARED_KV_BASE {
-                    continue;
-                }
-                debug_assert!(
-                    *addr < REQUEST_VA_STRIDE,
-                    "solo trace address {addr:#x} exceeds the tenant VA stride"
-                );
-                *addr += offset;
-            }
-            Instr::Compute { .. } | Instr::Barrier => {}
+/// Whether `instr` leaves relocation inside its tenant's address space:
+/// private addresses stay below [`REQUEST_VA_STRIDE`]; shared-prefix
+/// lines (at/above [`SHARED_KV_BASE`]) are not relocated at all.
+fn private_within_stride(instr: &Instr) -> bool {
+    match *instr {
+        Instr::Load { addr, .. } | Instr::Store { addr, .. } => {
+            !(REQUEST_VA_STRIDE..SHARED_KV_BASE).contains(&addr)
         }
+        Instr::Compute { .. } | Instr::Barrier => true,
     }
 }
 
@@ -350,8 +365,7 @@ fn relocate(instrs: &mut [Instr], offset: Addr) {
 mod tests {
     use super::*;
     use crate::workload::LogitOp;
-    use crate::workloads::{LogitWorkload, PrefillLogitWorkload};
-    use std::collections::HashSet;
+    use crate::workloads::{LogitWorkload, PrefillLogitWorkload, SharedPrefixWorkload};
 
     fn decode(seq_len: usize) -> Arc<dyn Workload> {
         Arc::new(LogitWorkload::new(LogitOp {
@@ -408,7 +422,7 @@ mod tests {
             let r = p.request_of(tb) as usize;
             cores[r].insert(p.assignment[tb]);
             for i in p.block(tb) {
-                if let Instr::Load { addr, .. } | Instr::Store { addr, .. } = i {
+                if let Instr::Load { addr, .. } | Instr::Store { addr, .. } = &i {
                     lines[r].insert(addr / 64);
                     assert_eq!(
                         (addr / REQUEST_VA_STRIDE) as usize,
@@ -527,7 +541,7 @@ mod tests {
         // Disjoint tenant address spaces, as for closed mixes.
         for tb in 0..p.num_blocks() {
             for i in p.block(tb) {
-                if let Instr::Load { addr, .. } | Instr::Store { addr, .. } = i {
+                if let Instr::Load { addr, .. } | Instr::Store { addr, .. } = &i {
                     assert_eq!((addr / REQUEST_VA_STRIDE) as u32, p.request_of(tb));
                 }
             }
@@ -565,7 +579,7 @@ mod tests {
         for tb in 0..p.num_blocks() {
             let r = p.request_of(tb) as usize;
             for i in p.block(tb) {
-                if let Instr::Load { addr, .. } | Instr::Store { addr, .. } = i {
+                if let Instr::Load { addr, .. } | Instr::Store { addr, .. } = &i {
                     if *addr >= SHARED_KV_BASE {
                         shared_lines[r].insert(addr / 64);
                     } else {
@@ -639,5 +653,206 @@ mod tests {
         let whole = TraceMeta::of(p.blocks());
         assert_eq!(meta.total_load_bytes, whole.total_load_bytes);
         assert_eq!(meta.total_store_bytes, whole.total_store_bytes);
+    }
+
+    fn shared_prefix(seq_len: usize) -> Arc<dyn Workload> {
+        Arc::new(SharedPrefixWorkload::new(
+            LogitOp {
+                heads: 2,
+                group_size: 2,
+                seq_len,
+                head_dim: 128,
+            },
+            seq_len / 2,
+        ))
+    }
+
+    /// Relocation as composition applied it before blocks shared
+    /// templates: each tenant's own copy, shifted in place.
+    fn relocate_copy(instrs: &mut [Instr], offset: Addr) {
+        for instr in instrs {
+            if let Instr::Load { addr, .. } | Instr::Store { addr, .. } = instr {
+                if *addr < SHARED_KV_BASE {
+                    assert!(*addr < REQUEST_VA_STRIDE);
+                    *addr += offset;
+                }
+            }
+        }
+    }
+
+    /// A composed trace spelled out: every block's instructions, home
+    /// core, request tag and arrival.
+    struct Expanded {
+        blocks: Vec<Vec<Instr>>,
+        assignment: Vec<usize>,
+        tags: Vec<RequestId>,
+        arrivals: Vec<Cycle>,
+        meta: MixMeta,
+    }
+
+    /// The oracle: every tenant lowered on its own core share as a solo
+    /// trace, its blocks copied and relocated into its address space,
+    /// then composed request-major or round-robin by request. `None` if
+    /// some tenant has no legal mapping.
+    fn oracle(
+        tenants: &[(Arc<dyn Workload>, Cycle)],
+        shares: &[(usize, usize)],
+        interleaved: bool,
+        layout: Layout,
+    ) -> Option<Expanded> {
+        let mut solos = Vec::new();
+        for ((w, _), &(start, count)) in tenants.iter().zip(shares) {
+            let cfg = TraceGenConfig {
+                num_cores: count,
+                ..cfg()
+            };
+            let (p, meta) = w.lower(layout, 32, &cfg).ok()?;
+            let blocks: Vec<(usize, Vec<Instr>)> = (p.blocks().zip(&p.assignment))
+                .map(|(b, &core)| (core + start, b.to_vec()))
+                .collect();
+            solos.push((blocks, meta));
+        }
+        let rounds = solos.iter().map(|(b, _)| b.len()).max().unwrap_or(0);
+        let order: Vec<(usize, usize)> = match interleaved {
+            true => (0..rounds)
+                .flat_map(|i| (0..solos.len()).map(move |r| (r, i)))
+                .collect(),
+            false => (0..solos.len())
+                .flat_map(|r| (0..rounds).map(move |i| (r, i)))
+                .collect(),
+        };
+        let mut out = Expanded {
+            blocks: Vec::new(),
+            assignment: Vec::new(),
+            tags: Vec::new(),
+            arrivals: Vec::new(),
+            meta: MixMeta::fold(solos.iter().map(|(_, m)| *m).collect()),
+        };
+        for (r, i) in order.into_iter().filter(|&(r, i)| i < solos[r].0.len()) {
+            let (core, mut block) = solos[r].0[i].clone();
+            relocate_copy(&mut block, r as Addr * REQUEST_VA_STRIDE);
+            out.blocks.push(block);
+            out.assignment.push(core);
+            out.tags.push(r as RequestId);
+            out.arrivals.push(tenants[r].1);
+        }
+        Some(out)
+    }
+
+    /// Asserts `p` and `meta` are the oracle's trace, block by block.
+    fn assert_expands_to(p: &Program, meta: &MixMeta, want: &Expanded) {
+        assert_eq!(p.num_blocks(), want.blocks.len());
+        for (tb, block) in want.blocks.iter().enumerate() {
+            assert_eq!(&p.block(tb).to_vec(), block, "block {tb}");
+        }
+        assert_eq!(p.assignment, want.assignment);
+        assert_eq!(p.request_tags, want.tags);
+        assert_eq!(meta, &want.meta);
+        let decoded = Program::with_requests(
+            &want.blocks,
+            want.assignment.clone(),
+            want.tags.clone(),
+            p.arrivals.clone(),
+        );
+        assert_eq!(p, &decoded, "program equality compares expanded blocks");
+    }
+
+    proptest::proptest! {
+        // Shared templates are invisible: closed mixes (partitioned and
+        // interleaved, staggered arrivals) and serve sets of 1-6 tenants
+        // drawn from 2-3 workloads, shared prefix included, expand to
+        // the trace the oracle builds by copying every tenant.
+        #[test]
+        fn sharing_is_invisible(
+            pool_size in 2usize..4,
+            picks in proptest::collection::vec((0usize..3, 0u64..3), 1..7),
+            shape in (0u8..3, 0u8..4, 1usize..5),
+        ) {
+            let pool = [decode(64), shared_prefix(64), prefill(64)];
+            let (kind, layout, cores_per_request) = shape;
+            let layout = [
+                Layout::PairStream,
+                Layout::Spatial,
+                Layout::RoundRobinGInner,
+                Layout::RoundRobinLInner,
+            ][layout as usize];
+            let tenants: Vec<(Arc<dyn Workload>, Cycle)> = (picks.iter())
+                .map(|&(w, slot)| (pool[w % pool_size].clone(), slot * 1_000))
+                .collect();
+            if kind == 2 {
+                let requests: Vec<Arc<dyn Workload>> =
+                    tenants.iter().map(|(w, _)| w.clone()).collect();
+                let open: Vec<_> = requests.iter().map(|w| (w.clone(), 0)).collect();
+                let shares = vec![(0, cores_per_request); requests.len()];
+                let got = generate_serve_set(&requests, cores_per_request, layout, 32, &cfg());
+                match oracle(&open, &shares, false, layout) {
+                    Some(want) => {
+                        let (p, meta) = got.unwrap();
+                        assert_expands_to(&p, &meta, &want);
+                        assert!(p.arrivals.is_empty());
+                    }
+                    None => assert!(got.is_err()),
+                }
+            } else {
+                let assignment = [MixAssignment::Partitioned, MixAssignment::Interleaved][kind as usize];
+                let mut mix = WorkloadMix::new(assignment);
+                for (w, arrival) in &tenants {
+                    mix = mix.request(w.clone(), *arrival);
+                }
+                let shares = match assignment {
+                    MixAssignment::Partitioned => mix.partition(cfg().num_cores).unwrap(),
+                    MixAssignment::Interleaved => vec![(0, cfg().num_cores); tenants.len()],
+                };
+                let interleaved = assignment == MixAssignment::Interleaved;
+                let got = mix.generate(layout, 32, &cfg());
+                match oracle(&tenants, &shares, interleaved, layout) {
+                    Some(want) => {
+                        let (p, meta) = got.unwrap();
+                        assert_expands_to(&p, &meta, &want);
+                        assert_eq!(p.arrivals, want.arrivals);
+                    }
+                    None => assert!(got.is_err()),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn serve_set_arena_holds_one_request() {
+        // serve-poisson's shape: 32 llama3-70b decode requests at seq 64
+        // on 4-core slots share one request's instructions.
+        let request: Arc<dyn Workload> = Arc::new(LogitWorkload::new(LogitOp::llama3_70b(64)));
+        let (p, meta) =
+            generate_serve_set(&vec![request.clone(); 32], 4, Layout::default(), 32, &cfg())
+                .unwrap();
+        assert_eq!(p.arena_len(), 9_728);
+        assert_eq!(meta.per_request[0].num_blocks * 32, p.num_blocks());
+        let solo_cfg = TraceGenConfig {
+            num_cores: 4,
+            ..cfg()
+        };
+        let (solo, _) = request.lower(Layout::default(), 32, &solo_cfg).unwrap();
+        assert_eq!(solo.arena_len(), 9_728, "one request's instructions");
+    }
+
+    #[test]
+    fn identical_tenants_share_one_arena() {
+        // Four interleaved shared-prefix tenants of one instance hold
+        // one tenant's instructions; four instances hold four copies.
+        let tenant = shared_prefix(128);
+        let (solo, _) = tenant.lower(Layout::PairStream, 32, &cfg()).unwrap();
+        let mix = |instances: &dyn Fn() -> Arc<dyn Workload>| {
+            let mut mix = WorkloadMix::new(MixAssignment::Interleaved);
+            for _ in 0..4 {
+                mix = mix.request(instances(), 0);
+            }
+            mix.generate(Layout::PairStream, 32, &cfg()).unwrap().0
+        };
+        let shared = mix(&|| tenant.clone());
+        assert_eq!(shared.num_blocks(), 4 * solo.num_blocks());
+        assert_eq!(shared.arena_len(), solo.arena_len());
+        let copied = mix(&|| shared_prefix(128));
+        assert_eq!(copied.arena_len(), 4 * solo.arena_len());
+        assert_eq!(shared, copied, "sharing is invisible");
     }
 }

@@ -12,7 +12,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use llamcat_sim::prog::{Instr, Program};
+use llamcat_sim::prog::{Block, Instr, Program};
 use llamcat_sim::types::Addr;
 
 use crate::mapping::{Dim, Level, LoopKind, Mapping};
@@ -55,18 +55,18 @@ pub struct TraceMeta {
 
 impl TraceMeta {
     /// Summary of `blocks`.
-    pub(crate) fn of<'a>(blocks: impl Iterator<Item = &'a [Instr]>) -> Self {
+    pub(crate) fn of<'a>(blocks: impl Iterator<Item = Block<'a>>) -> Self {
         let mut meta = TraceMeta::default();
         blocks.for_each(|block| meta.add(block));
         meta
     }
 
     /// Adds one block to the summary.
-    pub(crate) fn add(&mut self, block: &[Instr]) {
+    pub(crate) fn add(&mut self, block: Block<'_>) {
         self.num_blocks += 1;
         self.max_block_instrs = self.max_block_instrs.max(block.len());
         for i in block {
-            match *i {
+            match i {
                 Instr::Load { bytes, .. } => self.total_load_bytes += bytes as u64,
                 Instr::Store { bytes, .. } => self.total_store_bytes += bytes as u64,
                 Instr::Compute { .. } | Instr::Barrier => {}
@@ -167,6 +167,23 @@ impl<'a, W: Workload + ?Sized> Lowering<'a, W> {
             l_tile,
             blocks,
         }
+    }
+
+    /// What block `i`'s instructions depend on besides the generation
+    /// config's vector width and compute model: the workload instance,
+    /// the tile extent and the block's `(h, g, l-tile)` coordinates —
+    /// never its home core. Blocks with equal keys are equal.
+    pub(crate) fn template_key(&self, i: usize) -> (usize, usize, [usize; 3]) {
+        let [_, h, g, lt] = self.blocks[i];
+        let (instance, l_tile) = self.instance();
+        (instance, l_tile, [h, g, lt])
+    }
+
+    /// The workload instance (by address) and tile extent every block
+    /// of this lowering is built from.
+    pub(crate) fn instance(&self) -> (usize, usize) {
+        let at = (self.workload as *const W).cast::<()>() as usize;
+        (at, self.l_tile)
     }
 
     /// Writes block `i` onto the end of `instrs`.
@@ -368,7 +385,7 @@ mod tests {
         let k_lines = |tb: usize| -> HashSet<u64> {
             p.block(tb)
                 .iter()
-                .filter_map(|i| match i {
+                .filter_map(|i| match &i {
                     Instr::Load { addr, .. } if *addr >= crate::workload::K_BASE => {
                         Some(addr / LINE_BYTES)
                     }
@@ -393,7 +410,7 @@ mod tests {
         let k_addrs = |tb: usize| -> Vec<u64> {
             p.block(tb)
                 .iter()
-                .filter_map(|i| match i {
+                .filter_map(|i| match &i {
                     Instr::Load { addr, .. } if *addr >= crate::workload::K_BASE => Some(*addr),
                     _ => None,
                 })
@@ -409,7 +426,7 @@ mod tests {
         let mut lines = HashSet::new();
         for b in p.blocks() {
             for i in b {
-                if let Instr::Store { addr, bytes } = i {
+                if let Instr::Store { addr, bytes } = &i {
                     let mut a = *addr;
                     while a < addr + *bytes as u64 {
                         assert!(lines.insert(a / LINE_BYTES), "output line stored twice");
@@ -432,7 +449,7 @@ mod tests {
         let total: u32 = p
             .block(0)
             .iter()
-            .map(|i| match i {
+            .map(|i| match &i {
                 Instr::Compute { cycles } => *cycles,
                 _ => 0,
             })

@@ -686,7 +686,7 @@ mod tests {
         // the score (A) region; nothing touches K.
         for b in p.blocks() {
             for i in b {
-                if let Instr::Load { addr, .. } = i {
+                if let Instr::Load { addr, .. } = &i {
                     let in_v = (V_BASE..OUT_BASE).contains(addr);
                     let in_a = (SCORE_BASE..V_BASE).contains(addr);
                     assert!(in_v || in_a, "load at {addr:#x} outside V/A regions");
@@ -716,7 +716,7 @@ mod tests {
         let mut lines = HashSet::new();
         for b in p.blocks() {
             for i in b {
-                if let Instr::Store { addr, bytes } = i {
+                if let Instr::Store { addr, bytes } = &i {
                     let mut a = *addr;
                     while a < addr + *bytes as u64 {
                         assert!(lines.insert(a / LINE_BYTES), "partial line stored twice");
@@ -776,7 +776,7 @@ mod tests {
         let (mut shared_bytes, mut private_bytes) = (0u64, 0u64);
         for b in p.blocks() {
             for i in b {
-                match i {
+                match &i {
                     Instr::Load { addr, bytes } if *addr >= SHARED_KV_BASE => {
                         shared_bytes += *bytes as u64;
                     }
@@ -827,7 +827,7 @@ mod tests {
         let (p, _) = all.generate(&mapping, &cfg);
         for b in p.blocks() {
             for i in b {
-                if let Instr::Load { addr, .. } = i {
+                if let Instr::Load { addr, .. } = &i {
                     let in_q = *addr < K_BASE;
                     assert!(
                         in_q || *addr >= SHARED_KV_BASE,
@@ -841,7 +841,7 @@ mod tests {
         let (p, _) = none.generate(&mapping, &cfg);
         for b in p.blocks() {
             for i in b {
-                if let Instr::Load { addr, .. } = i {
+                if let Instr::Load { addr, .. } = &i {
                     assert!(*addr < SCORE_BASE, "no shared traffic at p0");
                 }
             }
@@ -869,7 +869,7 @@ mod tests {
         );
         for b in p.blocks() {
             for i in b {
-                match i {
+                match &i {
                     Instr::Load { addr, .. } => assert!(
                         *addr < SCORE_BASE || (V_BASE..OUT_BASE).contains(addr),
                         "load at {addr:#x} outside Q/K/V"

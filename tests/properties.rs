@@ -216,7 +216,7 @@ proptest! {
         let s_end = SCORE_BASE + op.score_bytes();
         for block in program.blocks() {
             for i in block {
-                match *i {
+                match i {
                     Instr::Load { addr, bytes } => {
                         let end = addr + bytes as u64;
                         let in_q = addr >= Q_BASE && end <= q_end;
