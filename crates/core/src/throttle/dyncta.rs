@@ -9,7 +9,8 @@
 //! * light memory waiting → headroom: raise the limit.
 //!
 //! DYNCTA throttles *all* cores with the same rule and has no global
-//! (spatial) coordination — the gap the paper's dynmg controller fills.
+//! (spatial) coordination — the gap the paper's dynmg controller fills;
+//! dynmg's in-core level runs this same rule on its Table 4 thresholds.
 //! Threshold defaults follow the parameter sweep run for this
 //! reproduction (`table_sweeps` bench), mirroring the paper's "for a
 //! fair comparison" re-sweep.

@@ -9,14 +9,16 @@
 //! progress counters — are the ones throttled, for load balance.
 //!
 //! **In-core level** (every `sub_period` cycles): each throttled core
-//! runs a DYNCTA-like rule on its own C_mem / C_idle deltas (Table 4
-//! thresholds) to pick its block limit; unthrottled cores run
+//! runs the DYNCTA rule ([`Dyncta`]) on its own C_mem / C_idle deltas
+//! (Table 4 thresholds) to pick its block limit; unthrottled cores run
 //! unrestricted. The two-level split is the paper's innovation: spatial
 //! selection globally, degree selection locally, on different timescales
 //! (Table 2: 2000-cycle periods, 400-cycle sub-periods).
 
 use llamcat_sim::arb::{ThrottleController, ThrottleInputs};
 use serde::{Deserialize, Serialize};
+
+use super::dyncta::{Dyncta, DynctaConfig};
 
 /// Contention classification (Table 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -122,14 +124,11 @@ pub struct DynMg {
     cfg: DynMgConfig,
     gear: usize,
     next_sample: u64,
-    next_sub: u64,
     prev_stall: u64,
-    prev_mem: Vec<u64>,
-    prev_idle: Vec<u64>,
     /// Progress counters at the last global sample (for velocity).
     prev_progress: Vec<u64>,
-    /// Persistent per-core in-core block limit.
-    in_core_limit: Vec<usize>,
+    /// The in-core level: each core's persistent DYNCTA block limit.
+    in_core: Dyncta,
     throttled: Vec<bool>,
     /// Scratch for the per-sample velocity sort (reused; sampling never
     /// allocates).
@@ -147,14 +146,16 @@ impl DynMg {
         );
         DynMg {
             next_sample: cfg.sampling_period,
-            next_sub: cfg.sub_period,
+            in_core: Dyncta::new(DynctaConfig {
+                period: cfg.sub_period,
+                idle_threshold: cfg.in_core.c_idle_upper,
+                mem_high: cfg.in_core.c_mem_upper,
+                mem_low: cfg.in_core.c_mem_lower,
+            }),
             cfg,
             gear: 0,
             prev_stall: 0,
-            prev_mem: Vec::new(),
-            prev_idle: Vec::new(),
             prev_progress: Vec::new(),
-            in_core_limit: Vec::new(),
             throttled: Vec::new(),
             order_scratch: Vec::new(),
             last_contention: Contention::Low,
@@ -212,24 +213,6 @@ impl DynMg {
             self.throttled[c] = true;
         }
     }
-
-    fn sample_sub(&mut self, inputs: &ThrottleInputs<'_>) {
-        let ic = self.cfg.in_core;
-        for c in 0..self.in_core_limit.len() {
-            let d_mem = inputs.c_mem[c].saturating_sub(self.prev_mem[c]);
-            let d_idle = inputs.c_idle[c].saturating_sub(self.prev_idle[c]);
-            self.prev_mem[c] = inputs.c_mem[c];
-            self.prev_idle[c] = inputs.c_idle[c];
-            let lim = &mut self.in_core_limit[c];
-            if d_idle > ic.c_idle_upper {
-                *lim = (*lim + 1).min(inputs.num_windows);
-            } else if d_mem > ic.c_mem_upper {
-                *lim = lim.saturating_sub(1).max(1);
-            } else if d_mem < ic.c_mem_lower {
-                *lim = (*lim + 1).min(inputs.num_windows);
-            }
-        }
-    }
 }
 
 impl Default for DynMg {
@@ -241,51 +224,42 @@ impl Default for DynMg {
 impl ThrottleController for DynMg {
     fn tick(&mut self, inputs: &ThrottleInputs<'_>, max_tb: &mut [usize]) {
         let n = max_tb.len();
-        if self.in_core_limit.len() != n {
+        if self.throttled.len() != n {
             self.reset(n);
         }
-        // Lazy clamp of the "start from maximum" sentinel now that the
-        // window count is known.
-        for l in self.in_core_limit.iter_mut() {
-            *l = (*l).min(inputs.num_windows);
-        }
-        if inputs.cycle >= self.next_sub {
-            self.next_sub = inputs.cycle + self.cfg.sub_period;
-            self.sample_sub(inputs);
-        }
+        // In-core level first: writes every core's own DYNCTA limit.
+        self.in_core.tick(inputs, max_tb);
         if inputs.cycle >= self.next_sample {
             self.next_sample = inputs.cycle + self.cfg.sampling_period;
             self.sample_global(inputs);
         }
-        for (c, tb) in max_tb.iter_mut().enumerate() {
-            *tb = if self.throttled[c] {
-                // A throttled core always gives up at least one window;
-                // the in-core controller sets the degree below that.
-                let cap = inputs.num_windows.saturating_sub(1).max(1);
-                self.in_core_limit[c].clamp(1, cap)
+        // A throttled core always gives up at least one window; the
+        // in-core limit sets the degree below that.
+        let cap = inputs.num_windows.saturating_sub(1).max(1);
+        for (tb, &throttled) in max_tb.iter_mut().zip(&self.throttled) {
+            *tb = if throttled {
+                (*tb).min(cap)
             } else {
                 inputs.num_windows
             };
         }
     }
 
-    fn next_event(&self, _now: u64) -> Option<u64> {
+    fn next_event(&self, now: u64) -> Option<u64> {
         // Between sampling boundaries the controller's state and its
         // max_tb output are fixed; the next state change is the nearer
         // of the in-core sub-period and the global sampling period.
-        Some(self.next_sub.min(self.next_sample))
+        let sub = self.in_core.next_event(now).unwrap_or(u64::MAX);
+        Some(sub.min(self.next_sample))
     }
 
     fn reset(&mut self, num_cores: usize) {
         self.gear = 0;
         self.prev_stall = 0;
-        self.prev_mem = vec![0; num_cores];
-        self.prev_idle = vec![0; num_cores];
         self.prev_progress = vec![0; num_cores];
-        self.in_core_limit = vec![usize::MAX; num_cores];
+        self.in_core.reset(num_cores);
         self.throttled = vec![false; num_cores];
         self.next_sample = self.cfg.sampling_period;
-        self.next_sub = self.cfg.sub_period;
         self.last_contention = Contention::Low;
     }
 }

@@ -6,7 +6,8 @@
 //! snapshot rebuild, the MSHR-aware arbiter's speculation machinery
 //! (hit buffer, `sent_reqs`, candidate scratch, balanced tie-break)
 //! and DynMg's sampling-period work — by running the headline
-//! `dynmg+BMA` cell through the same counting-allocator window.
+//! `dynmg+BMA` cell through the same counting-allocator windows, one
+//! per step mode.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -14,7 +15,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use llamcat::spec::PolicySpec;
 use llamcat_sim::config::SystemConfig;
 use llamcat_sim::prog::{Instr, Program};
-use llamcat_sim::system::System;
+use llamcat_sim::system::{StepMode, System};
 
 struct CountingAlloc;
 
@@ -75,24 +76,23 @@ fn dynmg_bma_steady_state_ticks_are_allocation_free() {
         spec.throttle.build_kind(),
     );
 
-    // Warm-up must span several DynMg sampling periods (default 6000
-    // cycles) so the controller's scratch and the throttled machine's
-    // queue shapes all reach steady state.
-    for _ in 0..40_000 {
-        system.tick();
-    }
+    // Warm-up, in both step modes, must span several DynMg sampling
+    // periods (default 6000 cycles) so the controller's scratch and the
+    // throttled machine's queue shapes all reach steady state.
+    system.advance_with_mode(20_000, StepMode::Cycle);
+    system.advance_with_mode(40_000, StepMode::Skip);
     assert!(!system.is_done(), "warm-up consumed the whole program");
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..20_000 {
-        system.tick();
+    for mode in [StepMode::Cycle, StepMode::Skip] {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        system.advance_with_mode(system.cycle() + 20_000, mode);
+        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        assert!(!system.is_done(), "window drained the program");
+        assert_eq!(
+            after - before,
+            0,
+            "{mode:?}: dynmg+BMA steady-state cycles allocated {} times",
+            after - before
+        );
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert!(!system.is_done(), "window drained the program");
-    assert_eq!(
-        after - before,
-        0,
-        "dynmg+BMA steady-state ticks allocated {} times",
-        after - before
-    );
 }

@@ -115,7 +115,8 @@ pub trait RequestArbiter {
 
     /// Optional dynamic override of the request/response storage-port
     /// arbitration (used by the COBRRA baseline). `None` keeps the
-    /// statically configured policy.
+    /// default response-queue-first order: a queued response is served
+    /// before any request.
     fn port_preference(
         &mut self,
         _req_q_len: usize,

@@ -11,18 +11,6 @@ use crate::cache::MAX_ASSOC;
 use crate::noc::Noc;
 use crate::types::LINE_BYTES;
 
-/// Arbitration between the request path and the response path for the
-/// shared LLC storage port (Section 3.3 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ReqRespPolicy {
-    /// Serve a response whenever one is queued ("response-queue-first";
-    /// the policy the paper's experiments use).
-    ResponseFirst,
-    /// Prioritize requests; only when the response queue is full are
-    /// requests and responses served in turn (COBRRA-style baseline).
-    RequestFirst,
-}
-
 /// Geometry and policy of one cache level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheGeometry {
@@ -84,8 +72,6 @@ pub struct L2Config {
     pub req_q_size: usize,
     /// Response queue capacity per slice.
     pub resp_q_size: usize,
-    /// Request/response arbitration for the storage port.
-    pub req_resp: ReqRespPolicy,
 }
 
 impl L2Config {
@@ -302,7 +288,6 @@ impl SystemConfig {
                 mshr_targets: 8,
                 req_q_size: 12,
                 resp_q_size: 64,
-                req_resp: ReqRespPolicy::ResponseFirst,
             },
             noc: NocConfig {
                 req_base: 2,
@@ -434,15 +419,21 @@ mod tests {
         let c = SystemConfig::table5();
         // 64 KB / (64 B * 8) = 128 sets.
         assert_eq!(c.l1.geometry.num_sets(), 128);
-        // Config files that still carry the retired `line_bytes` field
-        // parse to the same machine.
+        // Config files that still carry the retired `line_bytes` and
+        // `req_resp` fields parse to the same machine.
         let json = serde_json::to_string(&c).unwrap();
-        let old = json.replacen(
-            r#""associativity":8}"#,
-            r#""associativity":8,"line_bytes":64}"#,
-            1,
-        );
-        assert_ne!(old, json);
+        let old = json
+            .replacen(
+                r#""associativity":8}"#,
+                r#""associativity":8,"line_bytes":64}"#,
+                1,
+            )
+            .replacen(
+                r#""resp_q_size":64}"#,
+                r#""resp_q_size":64,"req_resp":"ResponseFirst"}"#,
+                1,
+            );
+        assert!(old.contains("line_bytes") && old.contains("req_resp"));
         assert_eq!(serde_json::from_str::<SystemConfig>(&old).unwrap(), c);
     }
 

@@ -78,7 +78,7 @@ pub mod prelude {
     };
     pub use crate::config::{
         CacheGeometry, CoreConfig, DramConfig, DramTiming, L1Config, L2Config, NocConfig,
-        ReqRespPolicy, SystemConfig,
+        SystemConfig,
     };
     pub use crate::kv::{KvEviction, KvTier, KvTierConfig, SHARED_KV_BASE};
     pub use crate::mshr::MshrFile;

@@ -27,7 +27,7 @@ use std::collections::VecDeque;
 
 use crate::arb::{ArbiterCtx, PortPreference, RequestArbiter};
 use crate::cache::{InsertPolicy, SetAssocCache};
-use crate::config::{L2Config, ReqRespPolicy};
+use crate::config::L2Config;
 use crate::mshr::{MshrFile, MshrOutcome, MshrTarget};
 use crate::pool::{ReqHandle, ReqPool};
 use crate::stats::{RequestLlcStats, SliceStats};
@@ -454,26 +454,12 @@ impl<A: RequestArbiter> LlcSlice<A> {
         let prefer = self
             .arbiter
             .port_preference(self.req_q.len(), self.resp_q.len(), self.cfg.resp_q_size)
-            .unwrap_or(match self.cfg.req_resp {
-                ReqRespPolicy::ResponseFirst => {
-                    if self.resp_q.is_empty() {
-                        PortPreference::Request
-                    } else {
-                        PortPreference::Response
-                    }
-                }
-                ReqRespPolicy::RequestFirst => {
-                    // Requests first; when the response queue is full,
-                    // alternate (here: response on even cycles). With no
-                    // requests waiting, drain responses.
-                    let alternate =
-                        self.resp_q.len() >= self.cfg.resp_q_size && now.is_multiple_of(2);
-                    if alternate || (self.req_q.is_empty() && !self.resp_q.is_empty()) {
-                        PortPreference::Response
-                    } else {
-                        PortPreference::Request
-                    }
-                }
+            // Response-queue-first, the policy the paper's experiments
+            // use: serve a response whenever one is queued.
+            .unwrap_or(if self.resp_q.is_empty() {
+                PortPreference::Request
+            } else {
+                PortPreference::Response
             });
         match prefer {
             PortPreference::Response => {

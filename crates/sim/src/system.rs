@@ -1,17 +1,20 @@
-//! Full-system wiring and the main simulation loop.
+//! Full-system wiring and the simulation loop.
 //!
-//! Tick order within one core cycle is fixed (and documented) so that
-//! runs are bit-reproducible:
+//! One loop, [`System::advance_with_mode`], serves both [`StepMode`]s.
+//! Tick order within one executed core cycle is fixed (and documented)
+//! so that runs are bit-reproducible:
 //!
 //! 0. (open-system runs) admit due requests from the injector, making
 //!    their thread blocks visible to the scheduler this cycle;
 //! 1. deliver due interconnect requests to slices;
-//! 2. tick every LLC slice, then flush its outbound responses, DRAM
-//!    reads and write-backs;
+//! 2. tick the due LLC slices, each then flushing its outbound
+//!    responses, DRAM reads and write-backs; (2½) the KV tier, when
+//!    attached, completes due promotions and releases their waiting
+//!    reads to DRAM;
 //! 3. advance the DRAM clock domain (fractional ratio: 1.96 GHz core vs
 //!    1.6 GHz DDR5-3200 command clock) and deliver fills to slices;
-//! 4. deliver due responses to cores and tick every core, flushing its
-//!    new requests into the interconnect;
+//! 4. deliver due responses to cores and tick the due cores, each
+//!    flushing its new requests into the interconnect;
 //! 5. run the throttle controller and apply its `max_tb` decisions.
 
 use std::sync::Arc;
@@ -66,7 +69,8 @@ impl RunOutcome {
 /// policy grid. See `DESIGN.md`, "The event-bound contract".
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum StepMode {
-    /// One `tick()` per core cycle (the cycle-accurate reference).
+    /// Every component ticks every core cycle (the cycle-accurate
+    /// reference): no cycle is skipped, nothing accrues in closed form.
     #[default]
     Cycle,
     /// Fast-forward across provably idle cycles.
@@ -113,22 +117,14 @@ where
     /// handles.
     pool: ReqPool,
     cycle: Cycle,
-    /// Picosecond accumulators for the clock-domain crossing.
-    core_time_ps: u64,
+    /// Picosecond position of the DRAM clock domain: the DRAM ticks
+    /// run or skipped so far times `dram_period_ps`.
     dram_time_ps: u64,
     core_period_ps: u64,
     dram_period_ps: u64,
     max_tb: Vec<usize>,
-    /// Cycle-mode throttle gate: the next cycle at which the controller
-    /// could change state or output (its `next_event` bound). Between
-    /// boundaries `run_throttle` — and its whole-machine input sweep —
-    /// is skipped, exactly as the Skip engine's phase 5 does.
-    throttle_wake: Cycle,
-    /// Set by [`System::note_retirements`] when a thread block retired
-    /// this tick (the LCS-style discrete throttle trigger).
-    tb_retired: bool,
-    /// Instrumentation: real ticks executed and cycles fast-forwarded
-    /// (Skip mode only; both zero in Cycle mode).
+    /// Instrumentation: cycles executed and cycles fast-forwarded (in
+    /// Cycle mode every cycle executes and none is skipped).
     ticks_executed: u64,
     cycles_skipped: u64,
     /// Tiered KV store gating the slice→DRAM read path (None = no
@@ -162,6 +158,14 @@ where
     tbs_done_scratch: Vec<u64>,
     active_tbs_scratch: Vec<usize>,
     fill_scratch: Vec<crate::dram::ReadReturn>,
+    /// The loop's per-core and per-slice wake cycles and `synced`
+    /// watermarks (see [`System::advance_with_mode`]): scratch, reset
+    /// to "all due at the current cycle" on every entry, kept here so
+    /// no call allocates.
+    wake_core: Vec<Cycle>,
+    wake_slice: Vec<Cycle>,
+    synced_core: Vec<Cycle>,
+    synced_slice: Vec<Cycle>,
 }
 
 /// An owned, self-contained copy of a [`System`] frozen mid-run.
@@ -309,11 +313,8 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
             throttle,
             pool,
             cycle: 0,
-            core_time_ps: 0,
             dram_time_ps: 0,
             max_tb: vec![cfg.core.num_inst_windows; n],
-            throttle_wake: 0,
-            tb_retired: false,
             ticks_executed: 0,
             cycles_skipped: 0,
             kv: None,
@@ -328,6 +329,10 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
             tbs_done_scratch: vec![0; n],
             active_tbs_scratch: vec![0; n],
             fill_scratch: Vec::with_capacity(64),
+            wake_core: vec![0; n],
+            wake_slice: vec![0; cfg.l2.num_slices],
+            synced_core: vec![0; n],
+            synced_slice: vec![0; cfg.l2.num_slices],
         }
     }
 
@@ -357,8 +362,6 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
         }
         throttle.reset(self.cfg.num_cores);
         self.throttle = throttle;
-        self.throttle_wake = 0;
-        self.tb_retired = false;
     }
 
     /// Switches the run to **open-system serving**: withholds every
@@ -539,28 +542,291 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
     /// This is [`System::run_with_mode`] minus the final
     /// [`System::collect_stats`] — the machine is left in exactly the
     /// state the full run would leave it in, so a later `collect_stats`
-    /// (or further `advance_with_mode` calls with a larger budget)
-    /// observes byte-identical results. Callers that advance in chunks
-    /// (pausing to snapshot or inspect) pay stats assembly once, not
-    /// once per chunk.
+    /// (or further `advance_with_mode` calls with a larger budget, in
+    /// either mode) observes byte-identical results. Callers that
+    /// advance in chunks (pausing to snapshot or inspect) pay stats
+    /// assembly once, not once per chunk.
+    ///
+    /// This is the simulator's one loop. Each component carries its own
+    /// wake cycle — the earliest cycle at which its per-cycle tick could
+    /// do anything beyond closed-form accrual — plus a `synced`
+    /// watermark recording how far its accrual has been materialized.
+    /// Each iteration executes one cycle `now`, ticking *only the due
+    /// components*, in the phase order of the module docs:
+    ///
+    /// * phases 0–1: due injector admissions, then the cycle's NoC
+    ///   request slot (every receiver was woken for it);
+    /// * phase 2 (and 2½): due slices tick, flushing responses and
+    ///   DRAM traffic, which in turn wakes cores and the DRAM; then the
+    ///   KV tier releases promoted reads;
+    /// * phase 3: the DRAM clock domain advances — quiet DRAM ticks in
+    ///   closed form, event ticks for real — delivering fills (waking
+    ///   slices);
+    /// * phase 4: the cycle's NoC response slot, then due cores tick
+    ///   (flushing requests, which wakes slices); a thread-block
+    ///   completion wakes the throttle (the LCS-style trigger);
+    /// * phase 5: when the throttle is due, every core and slice is
+    ///   synced so the controller reads exactly the cumulative counters
+    ///   a per-cycle run hands it, then its decision re-arms the core
+    ///   wakes.
+    ///
+    /// The two modes differ only in how wakes are armed. [`StepMode::Skip`]
+    /// jumps `now` to the minimum wake and re-arms each component at its
+    /// `next_event` bound, so quiescent components never tick; their
+    /// statistics accrue in one multiplication when they next wake (or
+    /// at exit). [`StepMode::Cycle`] executes every cycle and re-arms
+    /// every component that ticked at `now + 1`, so everything is due
+    /// every cycle and nothing accrues in closed form. The throttle keeps
+    /// its `next_event` gate in both modes: between boundaries its state
+    /// and output are frozen, so skipping the call (and its
+    /// whole-machine input sweep) changes nothing.
     pub fn advance_with_mode(&mut self, max_cycles: Cycle, mode: StepMode) -> RunOutcome {
+        const NEVER: Cycle = Cycle::MAX;
         if self.cycle >= max_cycles {
             // A budget already spent: neither mode may run (or rewind)
             // the clock.
             return self.cycle_limit_outcome();
         }
-        if mode == StepMode::Skip {
-            return self.skip_to(max_cycles);
-        }
-        while self.cycle < max_cycles {
-            self.tick();
+        let dense = mode == StepMode::Cycle;
+        // Everything is due at the current cycle: the first iteration
+        // ticks every component.
+        let start = self.cycle;
+        self.wake_core.fill(start);
+        self.wake_slice.fill(start);
+        self.synced_core.fill(start);
+        self.synced_slice.fill(start);
+        let mut wake_dram = start;
+        let mut wake_throttle = start;
+        let mut wake_kv = if self.kv.is_some() { start } else { NEVER };
+
+        loop {
+            let now = if dense {
+                self.cycle
+            } else {
+                let mut now = wake_dram
+                    .min(wake_throttle)
+                    .min(self.inject_wake)
+                    .min(wake_kv);
+                for &w in &self.wake_core {
+                    now = now.min(w);
+                }
+                for &w in &self.wake_slice {
+                    now = now.min(w);
+                }
+                now
+            };
+            if now >= max_cycles {
+                // Budget exhausted before the next event: burn the
+                // remaining cycles in closed form, never past the
+                // budget.
+                self.sync_all(max_cycles);
+                // Saturate: astronomically large budgets (e.g. u64::MAX)
+                // would overflow the picosecond clock; the DRAM domain
+                // simply stops advancing past the representable horizon.
+                self.dram_sync_quiet(max_cycles.saturating_mul(self.core_period_ps));
+                self.cycles_skipped += max_cycles - self.cycle;
+                self.cycle = max_cycles;
+                return self.cycle_limit_outcome();
+            }
+            self.cycles_skipped += now - self.cycle;
             self.ticks_executed += 1;
+            self.cycle = now;
+
+            if !dense {
+                // Pre-sync the DRAM clock to the start of this cycle
+                // (the DRAM ticks of the skipped cycles are quiet by the
+                // wake bound).
+                self.dram_sync_quiet(now * self.core_period_ps);
+            }
+
+            // Phase 0: open-system request injection, before anything
+            // else, so a request admitted at cycle t is fetchable by its
+            // core's tick of the same cycle. Admission changes
+            // scheduler state, so in Skip mode every core's wake bound
+            // — computed before these blocks existed — is re-armed.
+            if self.inject_wake <= now && self.run_injector(now) && !dense {
+                for c in 0..self.cores.len() {
+                    let at = Self::core_wake_of(&self.cores[c], &self.sched, &self.noc, c, now);
+                    self.wake_core[c] = self.wake_core[c].min(at);
+                }
+            }
+
+            // Phase 1: this cycle's NoC request slot, straight into each
+            // slice's ingress. Every receiving slice was woken for the
+            // arrival, so it is due; its accrual is synced before the
+            // delivery changes it.
+            let (slices, pool) = (&mut self.slices, &self.pool);
+            let (wake_slice, synced_slice) = (&self.wake_slice, &mut self.synced_slice);
+            self.noc.drain_reqs(now, |s, h| {
+                debug_assert!(wake_slice[s] <= now, "slice {s} not woken for its arrival");
+                Self::sync_slice(&mut slices[s], pool, &mut synced_slice[s], now);
+                slices[s].deliver(h);
+            });
+
+            // Phase 2: due slices — tick, then flush responses into the NoC and
+            // DRAM traffic (reads gated by the KV tier when attached)
+            // under channel backpressure.
+            let mut dram_touched = false;
+            for s in 0..self.slices.len() {
+                if self.wake_slice[s] > now {
+                    continue;
+                }
+                Self::sync_slice(
+                    &mut self.slices[s],
+                    &self.pool,
+                    &mut self.synced_slice[s],
+                    now,
+                );
+                // A transfer start/merge in an earlier slice's dispatch
+                // must be visible to this slice's arbitration.
+                self.sync_kv_busy();
+                self.slices[s].tick(now, &mut self.pool);
+                while let Some(o) = self.slices[s].outbound.pop_front() {
+                    // `at >= now`: a response due this very cycle is
+                    // delivered in phase 4 below.
+                    let at = self.noc.send_resp(s, o.resp, o.at.max(now));
+                    self.wake_core[o.resp.core] = self.wake_core[o.resp.core].min(at);
+                }
+                dram_touched |= self.dispatch_dram_reads(s, now);
+                while let Some(&line) = self.slices[s].dram_writes.front() {
+                    if self.dram.enqueue_write(line) {
+                        self.slices[s].dram_writes.pop_front();
+                        dram_touched = true;
+                    } else {
+                        break;
+                    }
+                }
+                self.synced_slice[s] = now + 1;
+                self.wake_slice[s] = if dense {
+                    now + 1
+                } else {
+                    Self::slice_wake_of(&mut self.slices[s], &self.noc, &self.pool, s, now + 1)
+                };
+            }
+
+            // Phase 2½: KV tier — complete due promotions and release waiting
+            // reads into DRAM. Transfers started by the slices above
+            // re-arm the wake bound.
+            if self.kv.is_some() {
+                if dense || self.kv_wake_of(now) <= now {
+                    dram_touched |= self.kv_phase(now);
+                }
+                wake_kv = if dense {
+                    now + 1
+                } else {
+                    self.kv_wake_of(now + 1)
+                };
+            }
+
+            if dram_touched && !dense {
+                // Fresh requests can pull the next DRAM command earlier
+                // — possibly into this very cycle's crossing window.
+                wake_dram = self.dram_event_cycle().unwrap_or(NEVER);
+            }
+
+            // Phase 3: DRAM clock domain (fractional ratio: 1.96 GHz
+            // core vs 1.6 GHz DDR5-3200 command clock). In Skip mode
+            // only executed when an event tick falls inside this
+            // cycle's crossing window; the window then runs for real
+            // (at most two ticks at this clock ratio).
+            if wake_dram <= now {
+                let end_ps = (now + 1) * self.core_period_ps;
+                while self.dram_time_ps + self.dram_period_ps <= end_ps {
+                    self.dram_time_ps += self.dram_period_ps;
+                    self.fill_scratch.clear();
+                    self.fill_scratch.extend_from_slice(self.dram.tick());
+                    for i in 0..self.fill_scratch.len() {
+                        let f = self.fill_scratch[i];
+                        // Sync the slice *before* the delivery mutates
+                        // it (its quiet accrual basis is the pre-fill
+                        // state, as if it had ticked this cycle).
+                        Self::sync_slice(
+                            &mut self.slices[f.slice],
+                            &self.pool,
+                            &mut self.synced_slice[f.slice],
+                            now + 1,
+                        );
+                        self.slices[f.slice].deliver_fill(f.line_addr);
+                        self.wake_slice[f.slice] = now + 1;
+                    }
+                }
+                wake_dram = if dense {
+                    now + 1
+                } else {
+                    self.dram_event_cycle().unwrap_or(NEVER)
+                };
+            }
+
+            // Phase 4: this cycle's NoC response slot, then due cores —
+            // tick, flush. Delivering all responses ahead of the core
+            // loop (rather than each just before its core's tick)
+            // changes nothing: `on_resp` touches only its own core, and
+            // a core's tick touches only itself, the scheduler, the
+            // request pool and the NoC's request wheel — so each core's
+            // fills commute with the other cores' ticks.
+            let cores = &mut self.cores;
+            let (wake_core, synced_core) = (&self.wake_core, &mut self.synced_core);
+            self.noc.drain_resps(now, |c, resp| {
+                debug_assert!(wake_core[c] <= now, "core {c} not woken for its arrival");
+                Self::sync_core(&mut cores[c], &mut synced_core[c], now);
+                cores[c].on_resp(resp, now);
+            });
+            for c in 0..self.cores.len() {
+                if self.wake_core[c] > now {
+                    continue;
+                }
+                Self::sync_core(&mut self.cores[c], &mut self.synced_core[c], now);
+                self.cores[c].tick(now, &self.program, &mut self.sched, &mut self.pool);
+                if self.note_retirements(c, now) {
+                    // Thread-block completions are the one discrete
+                    // input a quiescent-between-boundaries controller
+                    // may react to (LCS); run the throttle this cycle.
+                    wake_throttle = now;
+                }
+                while let Some(h) = self.cores[c].outbound.pop_front() {
+                    let slice = self.slice_of(self.pool.get(h).line_addr);
+                    let at = self.noc.send_req(slice, h, now, &self.pool);
+                    self.wake_slice[slice] = self.wake_slice[slice].min(at);
+                }
+                self.synced_core[c] = now + 1;
+                self.wake_core[c] = if dense {
+                    now + 1
+                } else {
+                    Self::core_wake_of(&self.cores[c], &self.sched, &self.noc, c, now + 1)
+                };
+            }
+
+            // Phase 5: throttle, on its schedule or on a completion.
+            if wake_throttle <= now {
+                self.sync_all(now + 1);
+                self.run_throttle(now);
+                wake_throttle = match self.throttle.next_event(now + 1) {
+                    Some(at) => at.max(now + 1),
+                    None => NEVER,
+                };
+                if !dense {
+                    // The decision may have freed (or capped) window
+                    // capacity: re-arm every core's wake against its
+                    // new max_tb.
+                    for c in 0..self.cores.len() {
+                        let at =
+                            Self::core_wake_of(&self.cores[c], &self.sched, &self.noc, c, now + 1);
+                        self.wake_core[c] = self.wake_core[c].min(at);
+                    }
+                }
+            }
+
+            self.cycle = now + 1;
             if self.is_done() {
+                // Materialize every deferred accrual up to the final
+                // cycle (a per-cycle run ticked every component through
+                // `now`, idle ones included).
+                self.sync_all(now + 1);
+                self.dram_sync_quiet((now + 1) * self.core_period_ps);
                 self.debug_assert_conserved();
                 return RunOutcome::Completed;
             }
         }
-        self.cycle_limit_outcome()
     }
 
     /// End-of-run conservation on [`RunOutcome::Completed`], checked in
@@ -591,10 +857,11 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
     /// Maps this tick's retired thread blocks (drained from `core`) to
     /// their serving requests; a request completes the cycle its last
     /// block retires. Runs in both step modes at the same cycles —
-    /// retirement is an event, never skipped over.
-    fn note_retirements(&mut self, core: usize, now: Cycle) {
+    /// retirement is an event, never skipped over. Returns whether any
+    /// block retired.
+    fn note_retirements(&mut self, core: usize, now: Cycle) -> bool {
+        let any = !self.cores[core].retired.is_empty();
         while let Some(tb) = self.cores[core].retired.pop() {
-            self.tb_retired = true;
             self.blocks_retired += 1;
             let r = self.program.request_of(tb);
             let req = &mut self.requests[r as usize];
@@ -614,6 +881,7 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
                 }
             }
         }
+        any
     }
 
     /// (real ticks executed, cycles fast-forwarded) — instrumentation
@@ -665,10 +933,8 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
     /// tick.
     fn dram_event_cycle(&mut self) -> Option<Cycle> {
         let event = self.dram.next_event()?;
-        // `dram_time_ps == executed_dram_ticks * dram_period_ps` is an
-        // invariant of both run modes. The m-th future DRAM tick runs
-        // during the first core cycle c with
-        // (c + 1) * core_period >= dram_time + m * dram_period.
+        // The m-th future DRAM tick runs during the first core cycle c
+        // with (c + 1) * core_period >= dram_time + m * dram_period.
         let now_dram = self.dram_time_ps / self.dram_period_ps;
         debug_assert!(event > now_dram, "DRAM event bound must be in the future");
         let target_ps = self.dram_time_ps + (event - now_dram) * self.dram_period_ps;
@@ -684,254 +950,6 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
             self.dram.skip(ticks);
             self.dram_time_ps += ticks * self.dram_period_ps;
         }
-    }
-
-    /// Event-driven fast-forward loop ([`StepMode::Skip`]).
-    ///
-    /// Each component carries its own wake cycle — the earliest cycle
-    /// at which its per-cycle tick could do anything beyond closed-form
-    /// accrual — plus a `synced` watermark recording how far its
-    /// accrual has been materialized. The loop jumps straight to the
-    /// minimum wake cycle and executes *only the due components*, in
-    /// the exact 5-phase order of [`System::tick`]:
-    ///
-    /// 1. the cycle's NoC request slot is delivered (every receiver was
-    ///    woken for it), then due slices tick (flushing responses and
-    ///    DRAM traffic, which in turn wakes cores and the DRAM);
-    /// 2. the DRAM clock domain advances — quiet DRAM ticks in closed
-    ///    form, event ticks for real — delivering fills (waking
-    ///    slices);
-    /// 3. the cycle's NoC response slot is delivered, then due cores
-    ///    tick (flushing requests, which wakes slices); a thread-block
-    ///    completion wakes the throttle (the LCS-style trigger);
-    /// 4. when the throttle is due, every core and slice is synced so
-    ///    the controller reads exactly the cumulative counters cycle
-    ///    mode would hand it, then its decision re-arms the core wakes.
-    ///
-    /// Quiescent components never tick; their statistics are accrued in
-    /// one multiplication when they next wake (or at exit). This is
-    /// what makes the fast path fast on event-dense workloads: a NoC
-    /// arrival at one slice no longer costs 16 core ticks, 7 idle slice
-    /// ticks, a throttle sweep and 4 DRAM channel scans.
-    fn skip_to(&mut self, max_cycles: Cycle) -> RunOutcome {
-        const NEVER: Cycle = Cycle::MAX;
-        let num_cores = self.cores.len();
-        let num_slices = self.slices.len();
-        // Everything is due at the current cycle: the first iteration
-        // behaves exactly like a full `tick()`.
-        let mut wake_core = vec![self.cycle; num_cores];
-        let mut wake_slice = vec![self.cycle; num_slices];
-        let mut wake_dram = self.cycle;
-        let mut wake_throttle = self.cycle;
-        let mut wake_kv = if self.kv.is_some() { self.cycle } else { NEVER };
-        let mut synced_core = vec![self.cycle; num_cores];
-        let mut synced_slice = vec![self.cycle; num_slices];
-
-        let outcome = loop {
-            let mut now = wake_dram
-                .min(wake_throttle)
-                .min(self.inject_wake)
-                .min(wake_kv);
-            for &w in &wake_core {
-                now = now.min(w);
-            }
-            for &w in &wake_slice {
-                now = now.min(w);
-            }
-            if now >= max_cycles {
-                // Budget exhausted before the next event: burn the
-                // remaining cycles in closed form, never past the
-                // budget.
-                self.sync_all(&mut synced_core, &mut synced_slice, max_cycles);
-                // Saturate: astronomically large budgets (e.g. u64::MAX)
-                // would overflow the picosecond clock; the DRAM domain
-                // simply stops advancing past the representable horizon.
-                self.dram_sync_quiet(max_cycles.saturating_mul(self.core_period_ps));
-                self.cycles_skipped += max_cycles - self.cycle;
-                self.cycle = max_cycles;
-                break self.cycle_limit_outcome();
-            }
-            self.cycles_skipped += now - self.cycle;
-            self.ticks_executed += 1;
-            self.cycle = now;
-
-            // Pre-sync the DRAM clock to the start of this cycle
-            // (cycle-mode ticks for earlier cycles all ran before this
-            // cycle's phase 2; they are quiet by the wake bound).
-            self.dram_sync_quiet(now * self.core_period_ps);
-
-            // Phase 0: open-system request injection. Admission changes
-            // scheduler state, so every core's wake bound — computed
-            // before these blocks existed — must be re-armed: an idle
-            // core can fetch injected work this very cycle.
-            if self.inject_wake <= now && self.run_injector(now) {
-                for (c, wake) in wake_core.iter_mut().enumerate() {
-                    *wake = (*wake).min(Self::core_wake_of(
-                        &self.cores[c],
-                        &self.sched,
-                        &self.noc,
-                        c,
-                        now,
-                    ));
-                }
-            }
-
-            // Phase 1: this cycle's NoC request slot. Every receiving
-            // slice was woken for the arrival, so it is due; its accrual
-            // is synced before the delivery changes it.
-            let (slices, pool) = (&mut self.slices, &self.pool);
-            self.noc.drain_reqs(now, |s, h| {
-                debug_assert!(wake_slice[s] <= now, "slice {s} not woken for its arrival");
-                Self::sync_slice(&mut slices[s], pool, &mut synced_slice[s], now);
-                slices[s].deliver(h);
-            });
-
-            // Phase 2: due slices — tick, flush.
-            let mut dram_touched = false;
-            for s in 0..num_slices {
-                if wake_slice[s] > now {
-                    continue;
-                }
-                Self::sync_slice(&mut self.slices[s], &self.pool, &mut synced_slice[s], now);
-                // Same-cycle ordering as the per-cycle path: an earlier
-                // slice's KV transfer start is visible here.
-                self.sync_kv_busy();
-                self.slices[s].tick(now, &mut self.pool);
-                while let Some(o) = self.slices[s].outbound.pop_front() {
-                    // `at >= now`: a response due this very cycle is
-                    // delivered in phase 4 below, as in `tick`.
-                    let at = self.noc.send_resp(s, o.resp, o.at.max(now));
-                    wake_core[o.resp.core] = wake_core[o.resp.core].min(at);
-                }
-                dram_touched |= self.dispatch_dram_reads(s, now);
-                while let Some(&line) = self.slices[s].dram_writes.front() {
-                    if self.dram.enqueue_write(line) {
-                        self.slices[s].dram_writes.pop_front();
-                        dram_touched = true;
-                    } else {
-                        break;
-                    }
-                }
-                synced_slice[s] = now + 1;
-                wake_slice[s] =
-                    Self::slice_wake_of(&mut self.slices[s], &self.noc, &self.pool, s, now + 1);
-            }
-
-            // Phase 2½: KV tier — complete due promotions and release
-            // waiting reads into DRAM, exactly as the per-cycle path
-            // does between the slice and DRAM phases. Transfers started
-            // during phase 2 re-arm the wake bound.
-            if self.kv.is_some() {
-                if self.kv_wake_of(now) <= now {
-                    dram_touched |= self.kv_phase(now);
-                }
-                wake_kv = self.kv_wake_of(now + 1);
-            }
-
-            if dram_touched {
-                // Fresh requests can pull the next DRAM command earlier
-                // — possibly into this very cycle's crossing window.
-                wake_dram = self.dram_event_cycle().unwrap_or(NEVER);
-            }
-
-            // Phase 3: DRAM clock domain. Only executed when an event
-            // tick falls inside this cycle's crossing window; the
-            // window then runs for real (at most two ticks at this
-            // clock ratio).
-            if wake_dram <= now {
-                let end_ps = (now + 1) * self.core_period_ps;
-                while self.dram_time_ps + self.dram_period_ps <= end_ps {
-                    self.dram_time_ps += self.dram_period_ps;
-                    self.fill_scratch.clear();
-                    self.fill_scratch.extend_from_slice(self.dram.tick());
-                    for i in 0..self.fill_scratch.len() {
-                        let f = self.fill_scratch[i];
-                        // Sync the slice *before* the delivery mutates
-                        // it (its quiet accrual basis is the pre-fill
-                        // state, exactly as in cycle mode where the
-                        // slice ticked in phase 2).
-                        Self::sync_slice(
-                            &mut self.slices[f.slice],
-                            &self.pool,
-                            &mut synced_slice[f.slice],
-                            now + 1,
-                        );
-                        self.slices[f.slice].deliver_fill(f.line_addr);
-                        wake_slice[f.slice] = now + 1;
-                    }
-                }
-                wake_dram = self.dram_event_cycle().unwrap_or(NEVER);
-            }
-
-            // Phase 4: this cycle's NoC response slot (ahead of the core
-            // ticks, as in `tick`), then due cores — tick, flush.
-            let cores = &mut self.cores;
-            self.noc.drain_resps(now, |c, resp| {
-                debug_assert!(wake_core[c] <= now, "core {c} not woken for its arrival");
-                Self::sync_core(&mut cores[c], &mut synced_core[c], now);
-                cores[c].on_resp(resp, now);
-            });
-            for c in 0..num_cores {
-                if wake_core[c] > now {
-                    continue;
-                }
-                Self::sync_core(&mut self.cores[c], &mut synced_core[c], now);
-                let tbs_before = self.cores[c].stats.tbs_completed;
-                self.cores[c].tick(now, &self.program, &mut self.sched, &mut self.pool);
-                self.note_retirements(c, now);
-                while let Some(h) = self.cores[c].outbound.pop_front() {
-                    let slice = self.slice_of(self.pool.get(h).line_addr);
-                    let at = self.noc.send_req(slice, h, now, &self.pool);
-                    wake_slice[slice] = wake_slice[slice].min(at);
-                }
-                if self.cores[c].stats.tbs_completed != tbs_before {
-                    // Thread-block completions are the one discrete
-                    // input a quiescent-between-boundaries controller
-                    // may react to (LCS); run the throttle this cycle.
-                    wake_throttle = now;
-                }
-                synced_core[c] = now + 1;
-                wake_core[c] =
-                    Self::core_wake_of(&self.cores[c], &self.sched, &self.noc, c, now + 1);
-            }
-
-            // Phase 5: throttle, on its schedule or on a completion.
-            if wake_throttle <= now {
-                self.sync_all(&mut synced_core, &mut synced_slice, now + 1);
-                self.run_throttle(now);
-                wake_throttle = match self.throttle.next_event(now + 1) {
-                    Some(at) => at.max(now + 1),
-                    None => NEVER,
-                };
-                // The decision may have freed (or capped) window
-                // capacity: re-arm every core's wake against its new
-                // max_tb.
-                for (c, wake) in wake_core.iter_mut().enumerate() {
-                    *wake = (*wake).min(Self::core_wake_of(
-                        &self.cores[c],
-                        &self.sched,
-                        &self.noc,
-                        c,
-                        now + 1,
-                    ));
-                }
-            }
-
-            self.cycle = now + 1;
-            if self.is_done() {
-                // Materialize every deferred accrual up to the final
-                // cycle (cycle mode ticked all components through
-                // `now`, idle ones included).
-                self.sync_all(&mut synced_core, &mut synced_slice, now + 1);
-                self.dram_sync_quiet((now + 1) * self.core_period_ps);
-                self.debug_assert_conserved();
-                break RunOutcome::Completed;
-            }
-        };
-        // Keep the clock-domain invariant for anyone stepping the
-        // system further after a fast-forwarded run.
-        self.core_time_ps = self.cycle.saturating_mul(self.core_period_ps);
-        outcome
     }
 
     /// Materializes a core's deferred closed-form accrual from its
@@ -953,105 +971,14 @@ impl<A: RequestArbiter, T: ThrottleController> System<A, T> {
     }
 
     /// Syncs every core and slice up to cycle `to` (exclusive), so the
-    /// cumulative counters read what cycle mode would have by then.
-    fn sync_all(&mut self, synced_core: &mut [Cycle], synced_slice: &mut [Cycle], to: Cycle) {
-        for (core, synced) in self.cores.iter_mut().zip(synced_core) {
+    /// cumulative counters read what a per-cycle run would have by then.
+    fn sync_all(&mut self, to: Cycle) {
+        for (core, synced) in self.cores.iter_mut().zip(&mut self.synced_core) {
             Self::sync_core(core, synced, to);
         }
-        for (slice, synced) in self.slices.iter_mut().zip(synced_slice) {
+        for (slice, synced) in self.slices.iter_mut().zip(&mut self.synced_slice) {
             Self::sync_slice(slice, &self.pool, synced, to);
         }
-    }
-
-    /// Single-cycle step (public for fine-grained tests).
-    pub fn tick(&mut self) {
-        let now = self.cycle;
-        self.tb_retired = false;
-
-        // 0. Open-system request injection — before anything else, so a
-        // request admitted at cycle t is fetchable by its core's phase-4
-        // tick of the same cycle (the Skip engine runs this phase at the
-        // same cycles via `inject_wake`).
-        if now >= self.inject_wake {
-            self.run_injector(now);
-        }
-
-        // 1. Interconnect -> slice request queues: this cycle's wheel
-        // slot, straight into each slice's ingress.
-        let slices = &mut self.slices;
-        self.noc.drain_reqs(now, |s, h| slices[s].deliver(h));
-
-        // 2. Slices.
-        for s in 0..self.slices.len() {
-            // A transfer start/merge in an earlier slice's dispatch
-            // must be visible to this slice's arbitration.
-            self.sync_kv_busy();
-            self.slices[s].tick(now, &mut self.pool);
-            // Outbound responses into the NoC.
-            while let Some(o) = self.slices[s].outbound.pop_front() {
-                self.noc.send_resp(s, o.resp, o.at.max(now));
-            }
-            // DRAM dispatch with channel backpressure, gated by the KV
-            // tier when one is attached.
-            self.dispatch_dram_reads(s, now);
-            while let Some(&line) = self.slices[s].dram_writes.front() {
-                if self.dram.enqueue_write(line) {
-                    self.slices[s].dram_writes.pop_front();
-                } else {
-                    break;
-                }
-            }
-        }
-
-        // 2½. KV tier: complete due promotions, release waiting reads.
-        self.kv_phase(now);
-
-        // 3. DRAM clock domain.
-        self.core_time_ps += self.core_period_ps;
-        while self.dram_time_ps + self.dram_period_ps <= self.core_time_ps {
-            self.dram_time_ps += self.dram_period_ps;
-            self.fill_scratch.clear();
-            self.fill_scratch.extend_from_slice(self.dram.tick());
-            for f in &self.fill_scratch {
-                self.slices[f.slice].deliver_fill(f.line_addr);
-            }
-        }
-
-        // 4. Cores: this cycle's responses first, then every core's
-        // tick. Delivering all responses ahead of the core loop (rather
-        // than each just before its core's tick) changes nothing:
-        // `on_resp` touches only its own core, and a core's tick touches
-        // only itself, the scheduler, the request pool and the NoC's
-        // request wheel — so each core's fills commute with the other
-        // cores' ticks.
-        let cores = &mut self.cores;
-        self.noc
-            .drain_resps(now, |c, resp| cores[c].on_resp(resp, now));
-        for c in 0..self.cores.len() {
-            self.cores[c].tick(now, &self.program, &mut self.sched, &mut self.pool);
-            self.note_retirements(c, now);
-            while let Some(h) = self.cores[c].outbound.pop_front() {
-                let slice = self.slice_of(self.pool.get(h).line_addr);
-                self.noc.send_req(slice, h, now, &self.pool);
-            }
-        }
-
-        // 5. Throttling — event-gated, mirroring the Skip engine's
-        // phase 5: controllers promise (via `next_event`) that between
-        // boundaries their state and `max_tb` output are frozen, and the
-        // one discrete input they may react to is a thread-block
-        // completion. Skipping the call also skips the whole-machine
-        // input sweep, which the per-cycle path paid even for
-        // `NoThrottle`.
-        if now >= self.throttle_wake || self.tb_retired {
-            self.run_throttle(now);
-            self.throttle_wake = match self.throttle.next_event(now + 1) {
-                Some(at) => at.max(now + 1),
-                None => Cycle::MAX,
-            };
-        }
-
-        self.cycle += 1;
     }
 
     fn run_throttle(&mut self, now: Cycle) {

@@ -4,9 +4,11 @@
 //! fig7-shaped memory-bound program (streaming vector loads with thin
 //! compute, 16 cores, stores at block tails) is warmed up until every
 //! ring buffer, arena and scratch vector has reached its steady-state
-//! capacity, and then a long window of cycle-accurate ticks must
-//! perform **zero heap allocations**. This pins the PR-5 invariant that
-//! the steady-state tick loop is allocation-free: MSHR target lists and
+//! capacity, and then a long window of simulated cycles — one
+//! `advance_with_mode` call per step mode — must perform **zero heap
+//! allocations**. This pins the invariant that the steady-state loop is
+//! allocation-free in both modes: its wake and watermark arrays are
+//! preallocated scratch, MSHR target lists and
 //! L1 waiter lists live in flat preallocated storage, requests are
 //! recycled through the `ReqPool` arena, the NoC wheels reuse their
 //! node arenas and the pipeline queues their rings, and the per-fill
@@ -18,7 +20,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use llamcat_sim::arb::{FifoArbiter, NoThrottle};
 use llamcat_sim::config::SystemConfig;
 use llamcat_sim::prog::{Instr, Program};
-use llamcat_sim::system::System;
+use llamcat_sim::system::{StepMode, System};
 
 struct CountingAlloc;
 
@@ -89,34 +91,34 @@ fn steady_state_ticks_are_allocation_free() {
     let program = fig7_shaped_program(cfg.num_cores, 24, 64);
     let mut system = System::new(cfg, program, &|_| FifoArbiter, NoThrottle);
 
-    // Warm-up: long enough for every queue, lane, arena and scratch to
-    // reach its high-water capacity (the machine is in steady state
-    // well before this).
-    for _ in 0..40_000 {
-        system.tick();
-    }
+    // Warm-up, in both modes: long enough for every queue, lane, arena
+    // and scratch to reach its high-water capacity (the machine is in
+    // steady state well before this).
+    system.advance_with_mode(20_000, StepMode::Cycle);
+    system.advance_with_mode(40_000, StepMode::Skip);
     assert!(
         !system.is_done(),
         "warm-up consumed the whole program; grow it so the window \
          measures steady state"
     );
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    TRAP.store(true, Ordering::Relaxed);
-    for _ in 0..20_000 {
-        system.tick();
+    for mode in [StepMode::Cycle, StepMode::Skip] {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        TRAP.store(true, Ordering::Relaxed);
+        system.advance_with_mode(system.cycle() + 20_000, mode);
+        TRAP.store(false, Ordering::Relaxed);
+        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        assert!(
+            !system.is_done(),
+            "measurement window drained the program; grow it so the \
+             window measures steady state"
+        );
+        assert_eq!(
+            after - before,
+            0,
+            "{mode:?}: steady-state cycles allocated {} times (last size {})",
+            after - before,
+            TRAP_SIZE.load(Ordering::Relaxed)
+        );
     }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
-    assert!(
-        !system.is_done(),
-        "measurement window drained the program; grow it so the window \
-         measures steady state"
-    );
-    assert_eq!(
-        after - before,
-        0,
-        "steady-state ticks allocated {} times (last size {})",
-        after - before,
-        TRAP_SIZE.load(Ordering::Relaxed)
-    );
 }
