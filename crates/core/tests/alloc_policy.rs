@@ -8,6 +8,11 @@
 //! and DynMg's sampling-period work — by running the headline
 //! `dynmg+BMA` cell through the same counting-allocator windows, one
 //! per step mode.
+//!
+//! Each L1 and LLC slice allocates its tag, rank and dirty arrays once,
+//! at its first fill (a cache that has never held a line owns none), so
+//! those allocations land inside the warm-up, never in a measured
+//! window.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -77,9 +77,19 @@ pub const MAX_ASSOC: usize = 64;
 /// way with the minimal rank — is therefore the same way a stamp-based
 /// cache evicts (the test oracle `StampCache` pins this), for about
 /// 1 + 1/assoc bytes of replacement state per line instead of 8.
+///
+/// # Storage materializes at the first fill
+///
+/// [`SetAssocCache::new`] records the geometry only: the four arrays
+/// stay empty until the first [`SetAssocCache::insert`] allocates them
+/// at once. A cache that has never held a line therefore owns no heap
+/// storage, and a clone of it (a pre-tick [`crate::system::System`]
+/// snapshot or fork) copies no tag rows. Every lookup on an empty cache
+/// misses through the same bounds check that guards the row read.
 #[derive(Debug, Clone)]
 pub struct SetAssocCache {
-    /// Way tags, `num_sets * assoc`, [`INVALID_TAG`] = empty way.
+    /// Way tags, `num_sets * assoc`, [`INVALID_TAG`] = empty way; all
+    /// four arrays are empty until the first insert.
     tags: Vec<u64>,
     /// Recency ranks (larger = more recently used), parallel to `tags`.
     ranks: Vec<u8>,
@@ -100,7 +110,8 @@ pub struct SetAssocCache {
 }
 
 impl SetAssocCache {
-    /// Creates a cache with `num_sets` sets of `assoc` ways.
+    /// Creates an empty cache with `num_sets` sets of `assoc` ways. No
+    /// storage is allocated until the first [`SetAssocCache::insert`].
     ///
     /// `index_shift` is the number of line-index bits to skip before the
     /// set index (used by sliced caches; pass 0 for a private cache).
@@ -108,10 +119,10 @@ impl SetAssocCache {
         assert!(num_sets > 0 && assoc > 0);
         assert!(assoc <= MAX_ASSOC, "a set holds at most {MAX_ASSOC} ways");
         SetAssocCache {
-            tags: vec![INVALID_TAG; num_sets * assoc],
-            ranks: vec![0; num_sets * assoc],
-            top: vec![0; num_sets],
-            dirty: vec![0; num_sets],
+            tags: Vec::new(),
+            ranks: Vec::new(),
+            top: Vec::new(),
+            dirty: Vec::new(),
             num_sets,
             assoc,
             index_shift,
@@ -119,6 +130,18 @@ impl SetAssocCache {
                 .is_power_of_two()
                 .then(|| num_sets.trailing_zeros()),
         }
+    }
+
+    /// Allocates the arrays of a cache that has never held a line: every
+    /// way empty, every rank and dirty bit 0.
+    #[cold]
+    #[inline(never)]
+    fn materialize(&mut self) {
+        let lines = self.num_sets * self.assoc;
+        self.tags = vec![INVALID_TAG; lines];
+        self.ranks = vec![0; lines];
+        self.top = vec![0; self.num_sets];
+        self.dirty = vec![0; self.num_sets];
     }
 
     #[inline]
@@ -148,11 +171,14 @@ impl SetAssocCache {
 
     /// Index of the way holding `tag` within `set`'s tag row, if any.
     /// [`INVALID_TAG`] marks empty ways, so no validity mask is needed
-    /// on the lookup path — the scan is a dense `u64` compare.
+    /// on the lookup path — the scan is a dense `u64` compare. A cache
+    /// that has never held a line has no rows, so the row read fails
+    /// and every lookup misses.
     #[inline]
     fn way_of(&self, set: usize, tag: u64) -> Option<usize> {
         let base = set * self.assoc;
-        self.tags[base..base + self.assoc]
+        self.tags
+            .get(base..base + self.assoc)?
             .iter()
             .position(|&t| t == tag)
     }
@@ -163,9 +189,15 @@ impl SetAssocCache {
     /// slice pipeline knows a line's set several simulated cycles
     /// before the scan (arbitration → tag lookup, fill → response
     /// dequeue) — exactly the window a prefetch needs. Behaviorally a
-    /// no-op.
+    /// no-op, and an empty cache has no rows to fetch.
     #[inline]
     pub fn prefetch(&self, line_addr: Addr) {
+        if self.tags.is_empty() {
+            return;
+        }
+        // SAFETY: past the early return the arrays are materialized:
+        // `tags` and `ranks` hold `num_sets * assoc` entries, and
+        // `set_of` is below `num_sets`, so both row starts are in bounds.
         #[cfg(target_arch = "x86_64")]
         unsafe {
             use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
@@ -266,6 +298,9 @@ impl SetAssocCache {
     /// If the line is already present this is a no-op hit-update (the
     /// dirty bit is OR-ed in) and `None` is returned.
     pub fn insert(&mut self, line_addr: Addr, dirty: bool, policy: InsertPolicy) -> Option<Victim> {
+        if self.tags.is_empty() {
+            self.materialize();
+        }
         let set = self.set_of(line_addr);
         let tag = self.tag_of(line_addr);
         let base = set * self.assoc;
@@ -551,13 +586,20 @@ mod tests {
             self.tags[set * self.assoc + way] = INVALID_TAG;
             Some(self.dirty[set] & (1 << way) != 0)
         }
+
+        fn occupancy(&self) -> usize {
+            self.tags.iter().filter(|&&t| t != INVALID_TAG).count()
+        }
     }
 
     // Ranks order every set exactly as the stamps did, so every lookup,
     // victim and dirty bit matches the stamp oracle over random
     // operation sequences on small geometries. Bursts of hits on one
     // line pass `top = 255` often, so sets renumber while other lines
-    // keep old ranks and streaming lines sit at 0.
+    // keep old ranks and streaming lines sit at 0. Both caches start
+    // fresh, and a sequence may open with lookups and invalidates (or
+    // hold no insert at all), so the unmaterialized cache is checked
+    // against the oracle's all-empty arrays too.
     proptest! {
         #[test]
         fn ranks_match_stamp_oracle(
@@ -571,7 +613,9 @@ mod tests {
             // Lines of this cache's slice only (the low `shift` index
             // bits are zero), a few more per set than it has ways.
             let lines = (sets * (ways + 2)) as u64;
+            let mut inserted = false;
             for (kind, x, burst) in ops {
+                inserted |= matches!(kind, 1 | 2 | 3 | 8);
                 let line = addr((u64::from(x) % lines) << shift);
                 let flag = x & 0x8000 != 0;
                 match kind {
@@ -605,9 +649,77 @@ mod tests {
                     }
                 }
             }
-            prop_assert_eq!(&c.tags, &o.tags);
-            prop_assert_eq!(&c.dirty, &o.dirty);
+            // The arrays exist exactly when a line has been inserted.
+            prop_assert_eq!(c.tags.is_empty(), !inserted);
+            if inserted {
+                prop_assert_eq!(&c.tags, &o.tags);
+                prop_assert_eq!(&c.dirty, &o.dirty);
+            } else {
+                prop_assert!(o.tags.iter().all(|&t| t == INVALID_TAG));
+            }
+            prop_assert_eq!(c.occupancy(), o.occupancy());
         }
+    }
+
+    #[test]
+    fn never_filled_cache_misses_and_owns_no_arrays() {
+        let mut c = SetAssocCache::new(64, 8, 3);
+        for line in [0, 1, 8, 64 * 8, u64::MAX / LINE_BYTES] {
+            let a = addr(line);
+            c.prefetch(a);
+            assert!(!c.probe(a));
+            assert_eq!(c.find(a), None);
+            assert!(!c.access(a, true));
+            assert_eq!(c.invalidate(a), None);
+        }
+        assert_eq!(c.occupancy(), 0);
+        assert_eq!((c.num_sets(), c.associativity()), (64, 8));
+        // Lookups, prefetches and invalidates allocate nothing, and a
+        // clone (a pre-tick snapshot or fork) copies no storage.
+        for cache in [&c, &c.clone()] {
+            assert_eq!(cache.tags.capacity(), 0);
+            assert_eq!(cache.ranks.capacity(), 0);
+            assert_eq!(cache.top.capacity(), 0);
+            assert_eq!(cache.dirty.capacity(), 0);
+        }
+    }
+
+    #[test]
+    fn first_insert_materializes_the_arrays() {
+        let (sets, ways) = (4, 2);
+        let mut c = SetAssocCache::new(sets, ways, 0);
+        let mut o = StampCache::new(sets, ways, 0);
+        assert!(!c.access(addr(5), false) && !o.access(addr(5), false));
+        assert_eq!(c.insert(addr(5), true, InsertPolicy::Lru), None);
+        assert_eq!(c.tags.len(), sets * ways);
+        assert_eq!(c.ranks.len(), sets * ways);
+        assert_eq!((c.top.len(), c.dirty.len()), (sets, sets));
+        assert_eq!(c.occupancy(), 1);
+        o.insert(addr(5), true, InsertPolicy::Lru);
+        // From then on every hit, victim and dirty bit is the eagerly
+        // allocated oracle's: lines 1, 5, 9, 13, ... share set 1.
+        for (i, line) in [1, 9, 5, 13, 9, 17, 1, 21, 5].into_iter().enumerate() {
+            let policy = if i % 3 == 0 {
+                InsertPolicy::Lru
+            } else {
+                InsertPolicy::Mru
+            };
+            assert_eq!(
+                c.access(addr(line), i % 2 == 0),
+                o.access(addr(line), i % 2 == 0)
+            );
+            assert_eq!(
+                c.insert(addr(line + 2), false, policy),
+                o.insert(addr(line + 2), false, policy)
+            );
+            assert_eq!(
+                c.insert(addr(line), false, policy),
+                o.insert(addr(line), false, policy)
+            );
+        }
+        assert_eq!(c.tags, o.tags);
+        assert_eq!(c.dirty, o.dirty);
+        assert!(c.clone().tags.capacity() >= sets * ways);
     }
 
     #[test]

@@ -178,6 +178,12 @@ where
 /// byte-identical to the straight-line run, in both [`StepMode`]s
 /// (`tests/snapshot_equiv.rs` pins this).
 ///
+/// A snapshot is as large as the machine's live state. A cache that has
+/// never held a line owns no tag, rank or dirty arrays, so a pre-tick
+/// snapshot and its forks copy none of them: at Table 5 a fork
+/// allocates about 0.27 MB, not the 2.8 MB those arrays would add
+/// (`tests/fork_footprint.rs` bounds it).
+///
 /// Obtain one with [`System::snapshot`]; rewind a live system with
 /// [`System::restore`]; spawn independent continuations with
 /// [`SystemState::fork`].

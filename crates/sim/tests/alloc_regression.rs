@@ -13,6 +13,11 @@
 //! recycled through the `ReqPool` arena, the NoC wheels reuse their
 //! node arenas and the pipeline queues their rings, and the per-fill
 //! `mshr_pipe` rebuild is an in-place rotation.
+//!
+//! Each L1 and LLC slice allocates its tag, rank and dirty arrays once,
+//! at its first fill (a cache that has never held a line owns none), so
+//! those allocations land inside the warm-up, never in a measured
+//! window.
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
